@@ -5,9 +5,7 @@ and positive neighborhoods."""
 from __future__ import annotations
 
 import os
-from typing import NamedTuple, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     DimensionTooLarge,
@@ -31,6 +29,9 @@ from .trees import (
     leaves,
     shadow_pattern,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 DEFAULT_MAX_D = 9
 
@@ -56,6 +57,8 @@ class ColorGraph(NamedTuple):
     edges: tuple  # of (index, index) with index_a < index_b
 
     def to_networkx(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(len(self.vertices)))
         g.add_edges_from(self.edges)
@@ -114,13 +117,16 @@ def zero_set(c: Sequence[Color]) -> ZeroSet:
 
 
 def is_connected_or_edgeless(g: ColorGraph) -> bool:
+    import networkx as nx
+
     if not g.edges:
         return True
-    nxg = g.to_networkx()
-    return nx.is_connected(nxg)
+    return nx.is_connected(g.to_networkx())
 
 
 def graph_diameter(g: ColorGraph) -> int:
+    import networkx as nx
+
     if len(g.vertices) <= 1:
         return 0
     nxg = g.to_networkx()
@@ -171,9 +177,12 @@ def face_union_separates(
         fam.add((lo, hi))
     keep = [T for T in all_trees(d + 1) if not (shadow_pattern(T) & fam)]
     index = {T: i for i, T in enumerate(keep)}
+    import networkx as nx
+
+    from .trees import rotate
+
     g = nx.Graph()
     g.add_nodes_from(range(len(keep)))
-    from .trees import rotate
 
     for T, i in index.items():
         for u in sorted(T.internal):

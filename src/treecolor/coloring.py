@@ -193,18 +193,32 @@ def is_rigid(c: Sequence[Color]) -> bool:
 # ---------- Enumeration of colorings ----------
 
 
+def sign_order(T: BinaryTree) -> list[Address]:
+    """Internal vertices in sign-bit order: the non-root ones sorted, then the root.
+
+    A sign assignment is an int whose bit i is set iff vertex i of this order
+    is negative.  The root is the last bit, so the normalized assignments
+    (positive topmost sign) are the ints below 2^(n-1).
+    """
+    return sorted(T.internal, key=lambda v: (v == "", v))
+
+
+def vectors_from_sign_bits(T: BinaryTree, assignments: Iterable[int]) -> list[ColorVector]:
+    """The root-color-1 vector of each sign assignment, as bits over sign_order(T)."""
+    order = sign_order(T)
+    lv = leaves(T)
+    out = []
+    for bits in assignments:
+        e = coloring_from_sign(T, {v: not bits >> i & 1 for i, v in enumerate(order)}, 1)
+        out.append(tuple(e[v] for v in lv))
+    return out
+
+
 def normalized_colorings(T: BinaryTree) -> list[ColorVector]:
     """The 2^(n-1) vectors with root color 1 and positive topmost sign."""
     if not T.internal:
         return [(1,)]
-    rest = sorted(v for v in T.internal if v != "")
-    out = []
-    for bits in range(1 << len(rest)):
-        s = {"": True}
-        for i, v in enumerate(rest):
-            s[v] = bool(bits >> i & 1)
-        e = coloring_from_sign(T, s, 1)
-        out.append(vector_from_edge_coloring(T, e))
+    out = vectors_from_sign_bits(T, range(1 << (T.carets - 1)))
     out.sort()
     return out
 

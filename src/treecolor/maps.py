@@ -4,9 +4,7 @@ counts, leaf-permuted triples, and edge-numbering balance."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import OutOfRange, TooLarge, TooSmall
 from .coloring import ColorVector, is_valid, normalized_colorings
@@ -19,6 +17,12 @@ from .trees import (
     shadow_pattern,
     subtree_at,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+# networkx is imported inside the functions that build graphs, so importing the
+# package (and the CLI commands that draw no graph) does not pay for it.
 
 
 class Triangulation(NamedTuple):
@@ -53,6 +57,8 @@ def pair_to_dual(p: TreePair) -> Triangulation:
     L = p.d.leaf_count
     if L < 2 or p.r.leaf_count != L:
         raise TooSmall("pair must have at least 2 leaves on each side")
+    import networkx as nx
+
     g = nx.MultiGraph()
     g.add_nodes_from(range(L + 1))
     for i in range(1, L + 1):
@@ -69,6 +75,8 @@ def pair_to_map(p: TreePair) -> SphereMap:
     L = p.d.leaf_count
     if L < 2 or p.r.leaf_count != L:
         raise TooSmall("pair must have at least 2 leaves on each side")
+    import networkx as nx
+
     g = nx.MultiGraph()
     for side, T in (("d", p.d), ("r", p.r)):
         for v in T.internal:
@@ -141,6 +149,8 @@ def biwheel(n: int) -> Triangulation:
     """Suspension of an (n-2)-cycle: two apexes joined to every cycle vertex."""
     if n < 5:
         raise TooSmall("biwheel needs at least 5 vertices")
+    import networkx as nx
+
     g = nx.Graph()
     cyc = list(range(2, n))
     g.add_edges_from((cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
@@ -227,6 +237,8 @@ def count_vertex_colorings(g, k: int) -> int:
     """Exact number of proper vertex k-colorings (backtracking)."""
     if isinstance(g, Triangulation):
         g = g.graph
+    import networkx as nx
+
     simple = nx.Graph(g)
     nodes = list(simple.nodes)
     if len(nodes) > 16:
@@ -340,11 +352,15 @@ def no_color_v() -> VTriple:
 
 
 def petersen_graph() -> nx.Graph:
+    import networkx as nx
+
     return nx.petersen_graph()
 
 
 def edge_three_coloring_count(g: nx.Graph) -> int:
     """Proper edge 3-colorings, counted exactly (line-graph vertex coloring)."""
+    import networkx as nx
+
     lg = nx.line_graph(g)
     if lg.number_of_nodes() > 16:
         raise TooLarge("edge coloring counter limited to 16 edges")
@@ -368,8 +384,6 @@ def edge_numbering_signs(g: nx.Graph, order: Sequence) -> list[bool]:
 
 def edge_numbering_balance(g: nx.Graph, order: Sequence) -> bool:
     signs = edge_numbering_signs(g, order)
-    gg = nx.Graph()
-    gg.add_nodes_from(g.nodes)
     parent = {v: v for v in g.nodes}
     parity = {v: 0 for v in g.nodes}
 

@@ -14,17 +14,10 @@ from .coloring import (
     classify_vector,
     colorings_of_pair,
     is_valid,
-    signs_of,
+    sign_order,
+    vectors_from_sign_bits,
 )
-from .thompson import (
-    RotationSymbol,
-    TreePair,
-    Word,
-    apply_element,
-    invert,
-    path_evaluate,
-    word_to_pair,
-)
+from .thompson import RotationSymbol, TreePair, Word, path_evaluate, word_to_pair
 from .trees import Address, BinaryTree, format_address, rotate, rotation_action
 
 
@@ -84,23 +77,21 @@ def sign_structure(w: Word) -> SignStructure:
     """The signed graph recording which sign agreements the word requires.
 
     Edge i joins the preimages of symbol i's pivots under the prefix before
-    it; the edge is positive iff the endpoint degrees so far sum to an even
-    number.
+    it: each pivot is pulled back through the prefix's rotations, last one
+    first, by the inverse vertex action.  The edge is positive iff the
+    endpoint degrees so far sum to an even number.
     """
-    from .thompson import IDENTITY, multiply, reduce, rotation_as_pair
-
     edges = []
     degree: dict[Address, int] = {}
-    prefix = IDENTITY
-    for s in w:
-        back = invert(prefix)
-        a = apply_element(back, s.pivots[0])
-        b = apply_element(back, s.pivots[1])
+    for i, s in enumerate(w):
+        a, b = s.pivots
+        for t in reversed(w[:i]):
+            a = rotation_action(t.u, not t.inverse, a)
+            b = rotation_action(t.u, not t.inverse, b)
         positive = (degree.get(a, 0) + degree.get(b, 0)) % 2 == 0
         edges.append((a, b, positive))
         degree[a] = degree.get(a, 0) + 1
         degree[b] = degree.get(b, 0) + 1
-        prefix = reduce(multiply(prefix, rotation_as_pair(s)))
     closure = {a[:k] for a, _, _ in edges for k in range(len(a) + 1)}
     closure |= {b[:k] for _, b, _ in edges for k in range(len(b) + 1)}
     return SignStructure(tuple(edges), BinaryTree(closure))
@@ -141,22 +132,34 @@ def subpath_check(w: Word) -> list[bool]:
 
 
 def compatible_colorings(w: Word, D: BinaryTree) -> list[ColorVector]:
-    """Normalized vectors of D that keep every rotation of the word valid."""
-    path_evaluate(D, w)  # raise early if the path leaves the skeleton
-    from .coloring import normalized_colorings
+    """Normalized vectors of D that keep every rotation of the word valid.
 
-    out = []
-    for c in normalized_colorings(D):
-        st = SignedTree(D, signs_of(D, c))
-        ok = True
-        for s in w:
-            if not is_signed_rotation_valid(st, s):
-                ok = False
+    This is the brute-force oracle for the balance theorem, so it never
+    consults sign_structure or is_balanced: it tries all 2^(n-1) normalized
+    sign assignments of D.  The path is walked once, following each internal
+    vertex of D to its current address; a step is the bitmask m of the slots
+    (positions in sign_order(D)) of its two pivots.  A rotation is valid iff
+    its pivots carry equal signs, and it flips both, so an assignment passes
+    the step iff bits & m is 0 or m, and continues as bits ^ m.
+    """
+    path_evaluate(D, w)  # raise early if the path leaves the skeleton
+    order = sign_order(D)
+    slot = {v: i for i, v in enumerate(order)}
+    steps = []
+    for s in w:
+        a, b = s.pivots
+        steps.append(1 << slot[a] | 1 << slot[b])
+        slot = {rotation_action(s.u, s.inverse, v): i for v, i in slot.items()}
+    survivors = []
+    for start in range(1 << max(len(order) - 1, 0)):  # the root's bit stays 0
+        bits = start
+        for m in steps:
+            if (bits & m) not in (0, m):
                 break
-            st = apply_signed_rotation(st, s)
-        if ok:
-            out.append(c)
-    return out
+            bits ^= m
+        else:
+            survivors.append(start)
+    return sorted(vectors_from_sign_bits(D, survivors))
 
 
 # ---------- Path search ----------

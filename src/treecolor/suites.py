@@ -7,8 +7,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable
 
-import networkx as nx
-
 from . import assoc, coloring, enumeration, maps, paths, thompson, trees
 
 
@@ -153,6 +151,8 @@ def suite_prime_sigma(max_symbols: int = 5, sample: int = 600) -> str:
     """If the path from the support tree ends at a prime pair, the sign
     structure is connected."""
     import random
+
+    import networkx as nx
 
     from .errors import PivotMissing
 

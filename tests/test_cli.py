@@ -4,9 +4,13 @@ and determinism."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import treecolor
 from treecolor.cli import main
 
 
@@ -201,3 +205,18 @@ def test_deterministic_output(capsys):
     a = run(capsys, "graph", "112131")
     b = run(capsys, "graph", "112131")
     assert a == b
+
+
+# ---------- start-up ----------
+
+
+@pytest.mark.parametrize("module", ["treecolor", "treecolor.cli"])
+def test_import_leaves_networkx_unloaded(module):
+    # networkx is loaded by the commands that build graphs, not by import
+    src = os.path.dirname(os.path.dirname(treecolor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"import sys, {module}; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

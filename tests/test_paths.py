@@ -8,10 +8,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from treecolor import paths
 from treecolor.coloring import normalized_colorings, signs_of
 from treecolor.errors import NoMatch, OutOfRange, PivotMissing
 from treecolor.paths import (
     SignedTree,
+    SignStructure,
     apply_signed_rotation,
     compatible_colorings,
     find_sign_consistent_path,
@@ -26,12 +28,15 @@ from treecolor.paths import (
 from treecolor.thompson import (
     RotationSymbol,
     TreePair,
+    apply_element,
     format_word,
     parse_word,
     path_evaluate,
     word_to_pair,
 )
 from treecolor.trees import BinaryTree, all_trees, right_vine
+
+from test_acceptance import all_edge_paths
 
 symbols_st = st.tuples(
     st.sampled_from(["", "0", "1", "00", "01", "10", "11"]),
@@ -110,6 +115,48 @@ def test_subpath_check():
     assert subpath_check(parse_word("0 e 1")) == [True, True, False]
 
 
+def sign_structure_by_pairs(w):
+    """Reference route: pull the pivots back with the inverse of the reduced
+    tree pair of each prefix."""
+    edges = []
+    degree = {}
+    for i, s in enumerate(w):
+        prefix = word_to_pair(w[:i])
+        back = TreePair(prefix.r, prefix.d)
+        a, b = (apply_element(back, v) for v in s.pivots)
+        positive = (degree.get(a, 0) + degree.get(b, 0)) % 2 == 0
+        edges.append((a, b, positive))
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    closure = {v[:k] for a, b, _ in edges for v in (a, b) for k in range(len(v) + 1)}
+    return SignStructure(tuple(edges), BinaryTree(closure))
+
+
+def random_word(rng, max_depth, max_len):
+    addrs = [""] + [
+        "".join(rng.choice("01") for _ in range(rng.randint(1, max_depth)))
+        for _ in range(8)
+    ]
+    return tuple(
+        RotationSymbol(rng.choice(addrs), rng.random() < 0.5)
+        for _ in range(rng.randint(1, max_len))
+    )
+
+
+def test_sign_structure_matches_tree_pairs_on_criterion_05_slice():
+    words = sorted(all_edge_paths(5, 6))
+    for w in random.Random(601).sample(words, 1500):
+        assert sign_structure(w) == sign_structure_by_pairs(w), format_word(w)
+
+
+def test_sign_structure_matches_tree_pairs_on_random_words():
+    # most of these words are no edge path from any small tree
+    rng = random.Random(17)
+    for _ in range(1500):
+        w = random_word(rng, max_depth=4, max_len=7)
+        assert sign_structure(w) == sign_structure_by_pairs(w), format_word(w)
+
+
 def test_component_count_includes_isolated_vertices():
     # "0" only joins "0" and "00"; the support still reaches the root,
     # which counts as its own component
@@ -161,6 +208,81 @@ def test_unbalanced_word_has_no_colorings():
     D = sign_structure(w).support
     assert compatible_colorings(w, D) == []
     assert len(normalized_colorings(D)) == 4  # the obstruction is the signs
+
+
+def compatible_colorings_by_walk(w, D):
+    """Reference route: carry each normalized vector's signed tree along the
+    path, rotating the whole tree at every step."""
+    path_evaluate(D, w)
+    out = []
+    for c in normalized_colorings(D):
+        st0 = signed(D, c)
+        for s in w:
+            if not is_signed_rotation_valid(st0, s):
+                break
+            st0 = apply_signed_rotation(st0, s)
+        else:
+            out.append(c)
+    return out
+
+
+def compatible_coloring_cases():
+    """(word, start tree) pairs: minimal supports, the balance suite's
+    larger start trees, and the empty word."""
+    rng = random.Random(29)
+    pool = [T for n in range(1, 6) for T in all_trees(n)]
+    starts = [T for T in pool if T.carets >= 3]
+    words = sorted(all_edge_paths(4, 5))
+    cases = [((), T) for T in pool[:20]]
+    for w in rng.sample(words, 400):
+        cases.append((w, sign_structure(w).support))
+        for T in rng.sample(starts, 3):
+            try:
+                path_evaluate(T, w)
+            except PivotMissing:
+                continue
+            cases.append((w, T))
+    return cases
+
+
+def test_compatible_colorings_match_vector_walk():
+    cases = compatible_coloring_cases()
+    larger = sum(T.carets > sign_structure(w).support.carets for w, T in cases if w)
+    assert larger > 100
+    for w, T in cases:
+        assert compatible_colorings(w, T) == compatible_colorings_by_walk(w, T), (
+            format_word(w),
+            T.to_text(),
+        )
+
+
+def test_compatible_colorings_empty_word():
+    for T in [BinaryTree(), right_vine(1), right_vine(4)]:
+        got = compatible_colorings((), T)
+        assert got == normalized_colorings(T) == compatible_colorings_by_walk((), T)
+
+
+def test_compatible_colorings_leaving_the_skeleton():
+    w = parse_word("~e 1")  # the first step is fine, the second is not
+    T = right_vine(2)
+    with pytest.raises(PivotMissing) as new:
+        compatible_colorings(w, T)
+    with pytest.raises(PivotMissing) as old:
+        compatible_colorings_by_walk(w, T)
+    assert str(new.value) == str(old.value)
+    assert str(new.value) == "symbol 1 (1): pivots 1,10 not internal in ((..).)"
+
+
+def test_compatible_colorings_independent_of_sign_structure(monkeypatch):
+    cases = compatible_coloring_cases()[::20]
+    want = [compatible_colorings_by_walk(w, T) for w, T in cases]
+
+    def forbidden(*args):
+        raise AssertionError("the oracle consulted the balance criterion")
+
+    monkeypatch.setattr(paths, "sign_structure", forbidden)
+    monkeypatch.setattr(paths, "is_balanced", forbidden)
+    assert [compatible_colorings(w, T) for w, T in cases] == want
 
 
 # ---------- path search ----------
