@@ -5,7 +5,8 @@ and positive neighborhoods."""
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from collections import deque
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionTooLarge,
@@ -22,16 +23,7 @@ from .coloring import (
     vector_sum,
     zero_intervals,
 )
-from .trees import (
-    BinaryTree,
-    all_trees,
-    is_vine,
-    leaves,
-    shadow_pattern,
-)
-
-if TYPE_CHECKING:
-    import networkx as nx
+from .trees import BinaryTree, Skeleton, interval_mask, is_vine, skeleton
 
 DEFAULT_MAX_D = 9
 
@@ -56,7 +48,8 @@ class ColorGraph(NamedTuple):
     vertices: tuple  # of BinaryTree, canonical order
     edges: tuple  # of (index, index) with index_a < index_b
 
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self):
+        """The graph as a networkx.Graph on the vertex indices, for export."""
         import networkx as nx
 
         g = nx.Graph()
@@ -81,30 +74,61 @@ def _check_vector(c: Sequence[Color]) -> int:
     return d
 
 
-def _colored_vertices(c: Sequence[Color]) -> list[BinaryTree]:
-    d = _check_vector(c)
-    if vector_sum(c) == 0 or len(set(c)) <= 1:
-        return []
-    bad = zero_intervals(c)
-    return [T for T in all_trees(d + 1) if not (shadow_pattern(T) & bad)]
+def _induced(sk: Skeleton, bad: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Skeleton indices of the trees whose shadow misses the mask bad, and the
+    sorted edges between them, numbered by position in that list."""
+    kept = [i for i, m in enumerate(sk.masks) if not m & bad]
+    pos = {i: k for k, i in enumerate(kept)}
+    edges = []
+    for k, i in enumerate(kept):
+        for j in sk.left[i]:
+            kj = pos.get(j)
+            if kj is not None:
+                edges.append((k, kj) if k < kj else (kj, k))
+    edges.sort()
+    return kept, edges
+
+
+def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _bfs(adj: list[list[int]], start: int) -> list[int]:
+    """Distance from start to every vertex; -1 where unreachable."""
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def color_graph(c: Sequence[Color]) -> ColorGraph:
-    """Subgraph of the rotation skeleton spanned by the trees the vector colors."""
-    c = tuple(c)
-    verts = _colored_vertices(c)
-    index = {T: i for i, T in enumerate(verts)}
-    edges = set()
-    from .trees import rotate
+    """Subgraph of the rotation skeleton spanned by the trees the vector colors.
 
-    for T, i in index.items():
-        for u in sorted(T.internal):
-            if u + "0" in T.internal:
-                S = rotate(T, u)
-                j = index.get(S)
-                if j is not None:
-                    edges.add((min(i, j), max(i, j)))
-    return ColorGraph(c, tuple(verts), tuple(sorted(edges)))
+    A vector of length d+2 colors the trees with d+1 carets whose shadow
+    pattern misses its zero intervals.  The selection runs on skeleton(d+1):
+    the trees whose shadow mask ANDs to zero with interval_mask of the zero
+    intervals are kept, in canonical order, and the edges are the skeleton's
+    left rotations between kept trees.  The skeleton of a size is built on
+    the first call that needs it (after the vector and dimension checks)
+    and reused afterwards.
+    """
+    c = tuple(c)
+    d = _check_vector(c)
+    if vector_sum(c) == 0 or len(set(c)) <= 1:
+        return ColorGraph(c, (), ())
+    sk = skeleton(d + 1)
+    kept, edges = _induced(sk, interval_mask(zero_intervals(c), d + 2))
+    return ColorGraph(c, tuple(sk.trees[i] for i in kept), tuple(edges))
 
 
 def zero_set(c: Sequence[Color]) -> ZeroSet:
@@ -112,27 +136,30 @@ def zero_set(c: Sequence[Color]) -> ZeroSet:
     c = tuple(c)
     d = _check_vector(c)
     bad = zero_intervals(c)
-    verts = [T for T in all_trees(d + 1) if shadow_pattern(T) & bad]
+    sk = skeleton(d + 1)
+    mask = interval_mask(bad, d + 2)
+    verts = [T for T, m in zip(sk.trees, sk.masks) if m & mask]
     return ZeroSet(c, frozenset(bad), tuple(verts))
 
 
 def is_connected_or_edgeless(g: ColorGraph) -> bool:
-    import networkx as nx
-
     if not g.edges:
         return True
-    return nx.is_connected(g.to_networkx())
+    return -1 not in _bfs(_adjacency(len(g.vertices), g.edges), 0)
 
 
 def graph_diameter(g: ColorGraph) -> int:
-    import networkx as nx
-
-    if len(g.vertices) <= 1:
+    n = len(g.vertices)
+    if n <= 1:
         return 0
-    nxg = g.to_networkx()
-    if not nx.is_connected(nxg):
-        raise Disconnected("color graph is not connected")
-    return nx.diameter(nxg)
+    adj = _adjacency(n, g.edges)
+    diam = 0
+    for v in range(n):
+        dist = _bfs(adj, v)
+        if -1 in dist:
+            raise Disconnected("color graph is not connected")
+        diam = max(diam, max(dist))
+    return diam
 
 
 # ---------- Long-path vectors ----------
@@ -175,27 +202,26 @@ def face_union_separates(
         if not (1 <= lo < hi <= n) or (lo, hi) == (1, n):
             raise TooSmall(f"interval [{lo},{hi}] is not proper in [1,{n}]")
         fam.add((lo, hi))
-    keep = [T for T in all_trees(d + 1) if not (shadow_pattern(T) & fam)]
-    index = {T: i for i, T in enumerate(keep)}
-    import networkx as nx
-
-    from .trees import rotate
-
-    g = nx.Graph()
-    g.add_nodes_from(range(len(keep)))
-
-    for T, i in index.items():
-        for u in sorted(T.internal):
-            if u + "0" in T.internal:
-                j = index.get(rotate(T, u))
-                if j is not None:
-                    g.add_edge(i, j)
-    comps = list(nx.connected_components(g)) if keep else []
-    label = {}
-    for k, comp in enumerate(sorted(comps, key=min)):
-        for i in comp:
-            label[keep[i]] = k
-    return len(comps) > 1, label
+    sk = skeleton(d + 1)
+    kept, edges = _induced(sk, interval_mask(fam, n))
+    adj = _adjacency(len(kept), edges)
+    # a BFS from each least unlabelled index numbers the components by their
+    # minimum index
+    comp = [-1] * len(kept)
+    count = 0
+    for s in range(len(kept)):
+        if comp[s] < 0:
+            comp[s] = count
+            queue = deque([s])
+            while queue:
+                v = queue.popleft()
+                for w in adj[v]:
+                    if comp[w] < 0:
+                        comp[w] = count
+                        queue.append(w)
+            count += 1
+    label = {sk.trees[i]: comp[k] for k, i in enumerate(kept)}
+    return count > 1, label
 
 
 # ---------- Positive neighborhoods ----------

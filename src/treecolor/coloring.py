@@ -242,14 +242,6 @@ def pattern_positive(v: Address) -> bool:
     return True
 
 
-def shift_pattern(P: Pattern, u: Address) -> Pattern:
-    return lambda v: P(u + v)
-
-
-def pattern_eval(P: Pattern, v: Address) -> bool:
-    return P(v)
-
-
 def pattern_coloring(P: Pattern, T: BinaryTree) -> ColorVector:
     s = {v: P(v) for v in T.internal}
     e = coloring_from_sign(T, s, 1)

@@ -7,16 +7,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BoundExceeded, TooSmall
-from .coloring import (
-    ColorVector,
-    classify_vector,
-    is_rigid,
-    normalized_colorings,
-    zero_intervals,
-)
-from .maps import common_intervals
+from .coloring import classify_vector, is_rigid, normalized_colorings, zero_intervals
 from .thompson import TreePair
-from .trees import all_trees, shadow_pattern
+from .trees import interval_mask, skeleton
 
 
 class RecurrenceSpec(NamedTuple):
@@ -108,20 +101,17 @@ class CountReport(NamedTuple):
 
 def pair_coloring_counts(carets: int):
     """(pair, normalized coloring count) for every prime pair of this size."""
-    trees = all_trees(carets)
-    shadows = {
-        T: shadow_pattern(T) if T.leaf_count >= 2 else frozenset() for T in trees
-    }
-    per_tree = {}
-    for T in trees:
-        vecs = normalized_colorings(T)
-        per_tree[T] = [(c, zero_intervals(c)) for c in vecs]
-    for d in trees:
-        for r in trees:
-            if shadows[d] & shadows[r]:
+    sk = skeleton(carets)
+    L = carets + 1
+    zero_masks = [
+        [interval_mask(zero_intervals(c), L) for c in normalized_colorings(T)]
+        for T in sk.trees
+    ]
+    for d, shadow_d, zeros in zip(sk.trees, sk.masks, zero_masks):
+        for r, shadow_r in zip(sk.trees, sk.masks):
+            if shadow_d & shadow_r:
                 continue  # not prime
-            sh = shadows[r]
-            count = sum(1 for _, bad in per_tree[d] if not (sh & bad))
+            count = sum(1 for bad in zeros if not shadow_r & bad)
             yield TreePair(d, r), count
 
 

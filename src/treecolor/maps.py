@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import OutOfRange, TooLarge, TooSmall
 from .coloring import ColorVector, is_valid, normalized_colorings
+from .paths import signed_balance
 from .thompson import TreePair
 from .trees import (
     Address,
@@ -384,28 +385,8 @@ def edge_numbering_signs(g: nx.Graph, order: Sequence) -> list[bool]:
 
 def edge_numbering_balance(g: nx.Graph, order: Sequence) -> bool:
     signs = edge_numbering_signs(g, order)
-    parent = {v: v for v in g.nodes}
-    parity = {v: 0 for v in g.nodes}
-
-    def find(v):
-        if parent[v] == v:
-            return v, 0
-        root, par = find(parent[v])
-        parent[v] = root
-        parity[v] ^= par
-        return root, parity[v]
-
-    for (a, b), positive in zip(order, signs):
-        need = 0 if positive else 1
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            if pa ^ pb != need:
-                return False
-        else:
-            parent[ra] = rb
-            parity[ra] = pa ^ pb ^ need
-    return True
+    edges = [(a, b, positive) for (a, b), positive in zip(order, signs)]
+    return signed_balance(g.nodes, edges)[0]
 
 
 def balance_classification(g: nx.Graph) -> str:

@@ -5,7 +5,7 @@ and pentagon word moves."""
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import NoMatch, OutOfRange, PivotMissing
 from .coloring import (
@@ -97,22 +97,31 @@ def sign_structure(w: Word) -> SignStructure:
     return SignStructure(tuple(edges), BinaryTree(closure))
 
 
-def is_balanced(ss: SignStructure) -> tuple[bool, int]:
-    """Whether every cycle carries an even number of negative edges, and the
-    component count over the support's internal vertices."""
-    parent: dict[Address, Address] = {v: v for v in ss.support.internal}
-    parity: dict[Address, int] = {v: 0 for v in ss.support.internal}
+def signed_balance(nodes: Iterable, edges: Iterable[tuple]) -> tuple[bool, int]:
+    """Union-find with parity over signed edges (a, b, positive).
 
-    def find(v: Address) -> tuple[Address, int]:
-        if parent[v] == v:
-            return v, 0
-        root, par = find(parent[v])
-        parent[v] = root
-        parity[v] ^= par
-        return root, parity[v]
+    Returns whether every cycle carries an even number of negative edges,
+    and the number of components over the nodes.  find is iterative, so a
+    deep union chain cannot exhaust the recursion limit.
+    """
+    parent = {v: v for v in nodes}
+    parity = {v: 0 for v in nodes}  # sign relative to the parent
+
+    def find(v):
+        root, p = v, 0
+        while parent[root] != root:
+            p ^= parity[root]
+            root = parent[root]
+        found = p
+        # hang the whole path on the root, each vertex with its sign to it
+        while v != root:
+            up, step = parent[v], parity[v]
+            parent[v], parity[v] = root, p
+            v, p = up, p ^ step
+        return root, found
 
     balanced = True
-    for a, b, positive in ss.edges:
+    for a, b, positive in edges:
         need = 0 if positive else 1
         ra, pa = find(a)
         rb, pb = find(b)
@@ -124,6 +133,12 @@ def is_balanced(ss: SignStructure) -> tuple[bool, int]:
             parity[ra] = pa ^ pb ^ need
     roots = {find(v)[0] for v in parent}
     return balanced, len(roots)
+
+
+def is_balanced(ss: SignStructure) -> tuple[bool, int]:
+    """Whether every cycle carries an even number of negative edges, and the
+    component count over the support's internal vertices."""
+    return signed_balance(ss.support.internal, ss.edges)
 
 
 def subpath_check(w: Word) -> list[bool]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import NotALeaf, NotAVertex, PivotMissing
+from .errors import NotALeaf, PivotMissing
 from .trees import (
     Address,
     BinaryTree,
@@ -69,16 +69,6 @@ class TreePair(NamedTuple):
 
 
 IDENTITY = TreePair(TRIVIAL, TRIVIAL)
-
-
-def _pair(d: BinaryTree, r: BinaryTree) -> TreePair:
-    if d.leaf_count != r.leaf_count:
-        raise NotAVertex("tree pair must have equal leaf counts")
-    return TreePair(d, r)
-
-
-def pair(d: BinaryTree, r: BinaryTree) -> TreePair:
-    return _pair(d, r)
 
 
 def reduce(p: TreePair) -> TreePair:

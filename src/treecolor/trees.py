@@ -9,7 +9,7 @@ prefix-closed.  Leaves are derived.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from .errors import (
     NotAVertex,
@@ -201,19 +201,26 @@ def shadow_interval(T: BinaryTree, v: Address) -> tuple[int, int]:
     return (idx[0], idx[-1])
 
 
+def _spans(T: BinaryTree) -> dict[Address, tuple[int, int]]:
+    """1-based leaf index interval below every internal vertex: from the end
+    of its leftmost branch to the end of its rightmost one."""
+    pos = {w: i + 1 for i, w in enumerate(leaves(T))}
+    out = {}
+    for v in T.internal:
+        lo = hi = v
+        while lo in T.internal:
+            lo += "0"
+        while hi in T.internal:
+            hi += "1"
+        out[v] = (pos[lo], pos[hi])
+    return out
+
+
 def shadow_pattern(T: BinaryTree) -> frozenset[tuple[int, int]]:
     """Shadow intervals of every internal vertex except the topmost one."""
     if T.leaf_count < 2:
         raise TooSmall("tree must have at least 2 leaves")
-    lv = leaves(T)
-    pos = {w: i + 1 for i, w in enumerate(lv)}
-    out = set()
-    for v in T.internal:
-        if v == "":
-            continue
-        sub = [pos[w] for w in lv if w.startswith(v)]
-        out.add((sub[0], sub[-1]))
-    return frozenset(out)
+    return frozenset(span for v, span in _spans(T).items() if v)
 
 
 def tree_from_shadow_pattern(p: Iterable[tuple[int, int]], n: int) -> BinaryTree:
@@ -293,6 +300,60 @@ def rotate(T: BinaryTree, u: Address, inverse: bool = False) -> BinaryTree:
             f"pivots {format_address(u)},{format_address(pivot2)} not internal in {T.to_text()}"
         )
     return BinaryTree(rotation_action(u, inverse, v) for v in T.internal)
+
+
+# ---------- The rotation skeleton ----------
+
+
+def interval_mask(intervals: Iterable[tuple[int, int]], L: int) -> int:
+    """An interval family over L leaves as an int: (lo, hi) is bit (lo-1)*L + hi-1.
+
+    Shadow patterns and zero-interval sets share this encoding, so a tree's
+    shadow meets a family iff the AND of their masks is nonzero.
+    """
+    m = 0
+    for lo, hi in intervals:
+        m |= 1 << ((lo - 1) * L + hi - 1)
+    return m
+
+
+class Skeleton(NamedTuple):
+    """The rotation 1-skeleton of the associahedron on the n-caret trees."""
+
+    trees: tuple  # of BinaryTree, canonical order (as all_trees)
+    index: dict  # BinaryTree -> its position in trees
+    masks: tuple  # interval_mask of each tree's shadow pattern (0 below 2 leaves)
+    left: tuple  # per tree, indices of rotate(T, u) for sorted u with u+"0" internal
+
+
+@functools.lru_cache(maxsize=None)
+def skeleton(n: int) -> Skeleton:
+    """The trees with n carets, their shadow masks and left-rotation indices.
+
+    Built on first use and cached for the life of the process: every size is
+    computed once, whatever the number of colour graphs drawn on it.  Each
+    edge of the skeleton appears once, as a left rotation of one endpoint.
+    A shadow pattern determines its tree, so a rotation is found by its
+    mask: rotating at u trades the interval [a, b] of u0 for the interval
+    [x+1, c] of the new u1, where u00 ends at leaf x and u at leaf c.
+    """
+    if n < 0:
+        raise TooSmall("caret count must be >= 0")
+    ts = _all_trees(n)
+    L = n + 1
+    spans = [_spans(T) for T in ts]
+    masks = tuple(interval_mask((s for v, s in sp.items() if v), L) for sp in spans)
+    by_mask = {m: i for i, m in enumerate(masks)}
+    left = []
+    for T, sp, m in zip(ts, spans, masks):
+        rot = []
+        for u in sorted(T.internal):
+            if u + "0" in T.internal:
+                a, b = sp[u + "0"]
+                x = sp[u + "00"][1] if u + "00" in T.internal else a
+                rot.append(by_mask[m ^ interval_mask([(a, b), (x + 1, sp[u][1])], L)])
+        left.append(tuple(rot))
+    return Skeleton(ts, {T: i for i, T in enumerate(ts)}, masks, tuple(left))
 
 
 # ---------- Vines ----------
