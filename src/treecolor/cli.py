@@ -161,6 +161,8 @@ def cmd_map(args) -> int:
             f"{fam}_{n}: {got} four-colorings ({got // 24} mod color symmetry)",
         )
         return 0
+    if len(args.pair) != 2:
+        args.usage("expected exactly two trees D R, or --chromatic FAMILY N")
     d, r = (_tree(s) for s in args.pair)
     p = thompson.TreePair(d, r)
     if args.factor:
@@ -189,7 +191,7 @@ def cmd_counts(args) -> int:
 
 
 def cmd_mi_search(args) -> int:
-    rep = enumeration.max_coloring_search(args.n, bound=max(args.n, 8))
+    rep = enumeration.max_coloring_search(args.n)
     rows = [
         (rep.n, i + 1, count, w.d.to_text(), w.r.to_text())
         for i, (count, w) in enumerate(rep.entries)
@@ -228,7 +230,6 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="treecolor")
-    ap.add_argument("--jobs", type=int, default=1, help="sweep parallelism (output independent)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trees", help="enumerate or inspect trees")
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", action="store_true")
     p.add_argument("--chromatic", nargs=2, metavar=("FAMILY", "N"))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_map)
+    p.set_defaults(fn=cmd_map, usage=p.error)
 
     p = sub.add_parser("counts", help="counting formulas")
     p.add_argument("--kind", choices=["acceptable", "rigid", "flexible", "jacobsthal"], required=True)

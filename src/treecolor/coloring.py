@@ -18,7 +18,7 @@ from .errors import (
     ZeroEntry,
     ZeroRoot,
 )
-from .trees import Address, BinaryTree, join, leaves, left_vine, right_vine
+from .trees import Address, BinaryTree, leaves
 from .thompson import TreePair
 
 Color = int
@@ -48,15 +48,10 @@ def edge_coloring_from_vector(T: BinaryTree, c: Sequence[Color]) -> dict[Address
     if len(c) != len(lv):
         raise LengthMismatch(f"vector length {len(c)} != leaf count {len(lv)}")
     e = dict(zip(lv, c))
-
-    def fill(v: Address) -> Color:
-        if v in e:
-            return e[v]
-        col = fill(v + "0") ^ fill(v + "1")
-        e[v] = col
-        return col
-
-    fill("")
+    # postorder ("2" sorts after both bits), so the keys keep their order:
+    # leaves left to right, then each caret after its subtree
+    for v in sorted(T.internal, key=lambda v: v + "2"):
+        e[v] = e[v + "0"] ^ e[v + "1"]
     return e
 
 
@@ -82,19 +77,12 @@ def coloring_from_sign(
     if root == 0:
         raise ZeroRoot("root color must be nonzero")
     e = {"": root}
-
-    def fill(v: Address) -> None:
-        if v not in T.internal:
-            return
+    for v in sorted(T.internal):  # v before both children
         a = e[v]
         if s[v]:
             e[v + "0"], e[v + "1"] = _SUCC[a], _SUCC[_SUCC[a]]
         else:
             e[v + "0"], e[v + "1"] = _SUCC[_SUCC[a]], _SUCC[a]
-        fill(v + "0")
-        fill(v + "1")
-
-    fill("")
     return e
 
 
@@ -130,27 +118,31 @@ def acceptable_witness(c: Sequence[Color]) -> BinaryTree | None:
 
 
 def _witness(c: ColorVector) -> BinaryTree:
-    n = len(c)
-    if n == 2:
-        return BinaryTree({""})
-    x = c[0]
-    if all(v == x for v in c[:-1]):
-        return right_vine(n - 1)
-    if all(v == c[1] for v in c[1:]):
-        return left_vine(n - 1)
-    total = vector_sum(c)
-    if total != x:
-        # strip the first entry onto a caret above the witness for the rest
-        A = _witness(c[1:])
-        return BinaryTree({""} | {"1" + v for v in A.internal})
-    if c[-1] != x:
-        A = _witness(c[:-1])
-        return BinaryTree({""} | {"0" + v for v in A.internal})
-    # sum and last entry both equal the leading run's color: split in two
-    i = 1
-    while c[i] == x:
-        i += 1
-    return join(_witness(c[: i + 1]), _witness(c[i + 1:]))
+    """Each task places the witness for an acceptable subvector below an address."""
+    internal: list[Address] = []
+    todo = [(c, "")]
+    while todo:
+        c, addr = todo.pop()
+        n = len(c)
+        x = c[0]
+        if all(v == x for v in c[:-1]):
+            internal.extend(addr + "1" * i for i in range(n - 1))  # right vine
+        elif all(v == c[1] for v in c[1:]):
+            internal.extend(addr + "0" * i for i in range(n - 1))  # left vine
+        else:
+            internal.append(addr)
+            if vector_sum(c) != x:
+                # the first entry hangs off this caret beside the witness for the rest
+                todo.append((c[1:], addr + "1"))
+            elif c[-1] != x:
+                todo.append((c[:-1], addr + "0"))
+            else:
+                # sum and last entry both equal the leading run's color: split in two
+                i = 1
+                while c[i] == x:
+                    i += 1
+                todo += ((c[i + 1:], addr + "1"), (c[: i + 1], addr + "0"))
+    return BinaryTree(internal)
 
 
 # ---------- Trichotomy ----------

@@ -58,8 +58,8 @@ def count_flexible(n: int) -> int:
 # ---------- Brute-force companions ----------
 
 
-def brute_acceptable(n: int) -> int:
-    """Acceptable length-(n+1) vectors counted up to renaming colors.
+def _brute_count(n: int, keep) -> int:
+    """Length-(n+1) vectors passing keep, counted up to renaming colors.
 
     Fixing the leading color to 1 kills the 3-cycles; the leftover swap of
     the other two colors is quotiented directly.
@@ -70,25 +70,19 @@ def brute_acceptable(n: int) -> int:
     swap = {1: 1, 2: 3, 3: 2}
     for rest in product((1, 2, 3), repeat=n):
         c = (1,) + rest
-        if classify_vector(c) == "Unacceptable":
-            continue
-        alt = tuple(swap[x] for x in c)
-        seen.add(min(c, alt))
+        if keep(c):
+            seen.add(min(c, tuple(swap[x] for x in c)))
     return len(seen)
+
+
+def brute_acceptable(n: int) -> int:
+    """Acceptable length-(n+1) vectors counted up to renaming colors."""
+    return _brute_count(n, lambda c: classify_vector(c) != "Unacceptable")
 
 
 def brute_rigid(n: int) -> int:
-    from itertools import product
-
-    seen = set()
-    swap = {1: 1, 2: 3, 3: 2}
-    for rest in product((1, 2, 3), repeat=n):
-        c = (1,) + rest
-        if classify_vector(c) == "Unacceptable" or not is_rigid(c):
-            continue
-        alt = tuple(swap[x] for x in c)
-        seen.add(min(c, alt))
-    return len(seen)
+    """Rigid length-(n+1) vectors counted up to renaming colors."""
+    return _brute_count(n, is_rigid)
 
 
 # ---------- Extremal coloring counts over prime pairs ----------

@@ -13,8 +13,8 @@ from .thompson import TreePair
 from .trees import (
     Address,
     BinaryTree,
+    _spans,
     leaves,
-    shadow_interval,
     shadow_pattern,
     subtree_at,
 )
@@ -111,8 +111,8 @@ def has_parallel_edges(t: Triangulation) -> bool:
 
 
 def _vertex_with_shadow(T: BinaryTree, interval: tuple[int, int]) -> Address:
-    for v in T.internal:
-        if v and shadow_interval(T, v) == interval:
+    for v, span in _spans(T).items():
+        if v and span == interval:
             return v
     raise OutOfRange(f"no vertex with shadow {interval}")
 
@@ -120,27 +120,25 @@ def _vertex_with_shadow(T: BinaryTree, interval: tuple[int, int]) -> Address:
 def prime_factorization(p: TreePair) -> list[TreePair]:
     """Split at common shadow intervals, innermost first, into prime factors.
 
-    Matching exposed carets show up as width-one common intervals, so an
-    unreduced pair simply contributes extra one-caret factors; the coloring
-    count law holds either way.
+    The narrowest common interval contains no other one, so the factor cut
+    off below it is prime; the rest is split again.  Matching exposed carets
+    show up as width-one common intervals, so an unreduced pair simply
+    contributes extra one-caret factors; the coloring count law holds either
+    way.
     """
-    common = common_intervals(p)
-    if not common:
-        return [p]
-    a, b = min(common, key=lambda iv: (iv[1] - iv[0], iv[0]))
-    u = _vertex_with_shadow(p.d, (a, b))
-    v = _vertex_with_shadow(p.r, (a, b))
-    inner = TreePair(subtree_at(p.d, u), subtree_at(p.r, v))
-    outer = TreePair(
-        BinaryTree(w for w in p.d.internal if not (w != u and w.startswith(u))),
-        BinaryTree(w for w in p.r.internal if not (w != v and w.startswith(v))),
-    )
-    # the cut vertex itself becomes a leaf of the outer pair
-    outer = TreePair(
-        BinaryTree(w for w in outer.d.internal if w != u),
-        BinaryTree(w for w in outer.r.internal if w != v),
-    )
-    return prime_factorization(inner) + prime_factorization(outer)
+    factors = []
+    while common := common_intervals(p):
+        a, b = min(common, key=lambda iv: (iv[1] - iv[0], iv[0]))
+        u = _vertex_with_shadow(p.d, (a, b))
+        v = _vertex_with_shadow(p.r, (a, b))
+        factors.append(TreePair(subtree_at(p.d, u), subtree_at(p.r, v)))
+        # the cut vertex itself becomes a leaf of the rest
+        p = TreePair(
+            BinaryTree(w for w in p.d.internal if not w.startswith(u)),
+            BinaryTree(w for w in p.r.internal if not w.startswith(v)),
+        )
+    factors.append(p)
+    return factors
 
 
 # ---------- The five triangulation families ----------

@@ -8,6 +8,7 @@ from itertools import product
 from typing import Callable
 
 from . import assoc, coloring, enumeration, maps, paths, thompson, trees
+from .errors import PivotMissing
 
 
 def suite_catalan(max_n: int = 10) -> str:
@@ -82,7 +83,7 @@ def suite_balance(max_symbols: int = 4, max_addr: int = 2, sample: int = 400) ->
         for T in pool:
             try:
                 thompson.path_evaluate(T, w)
-            except Exception:
+            except PivotMissing:
                 continue
             start = T
             break
@@ -153,8 +154,6 @@ def suite_prime_sigma(max_symbols: int = 5, sample: int = 600) -> str:
     import random
 
     import networkx as nx
-
-    from .errors import PivotMissing
 
     rng = random.Random(11)
     addrs = ["", "0", "1", "00", "01", "10", "11"]

@@ -80,42 +80,42 @@ class BinaryTree:
 
     def to_text(self) -> str:
         """Canonical parenthesized form: "." for the trivial tree, "(AB)" for a join."""
-
-        def rec(v: Address) -> str:
-            if v not in self.internal:
-                return "."
-            return "(" + rec(v + "0") + rec(v + "1") + ")"
-
-        return rec("")
+        out = []
+        todo: list[Address | None] = [""]  # None closes a caret
+        while todo:
+            v = todo.pop()
+            if v is None:
+                out.append(")")
+            elif v in self.internal:
+                out.append("(")
+                todo += (None, v + "1", v + "0")
+            else:
+                out.append(".")
+        return "".join(out)
 
     def to_json(self) -> dict:
         return {"internal": sorted(format_address(v) for v in self.internal)}
 
     @staticmethod
     def from_text(s: str) -> "BinaryTree":
+        """Inverse of to_text: the same worklist, reading one character per step."""
         s = s.strip()
         internal: list[Address] = []
         pos = 0
-
-        def rec(addr: Address) -> None:
-            nonlocal pos
-            if pos >= len(s):
+        todo: list[Address | None] = [""]
+        while todo:
+            addr = todo.pop()
+            if addr is None:
+                if s[pos:pos + 1] != ")":
+                    raise NotPrefixClosed(f"bad tree text {s!r} at {pos}")
+            elif pos >= len(s):
                 raise NotPrefixClosed(f"truncated tree text {s!r}")
-            ch = s[pos]
-            if ch == ".":
-                pos += 1
-                return
-            if ch != "(":
+            elif s[pos] == "(":
+                internal.append(addr)
+                todo += (None, addr + "1", addr + "0")
+            elif s[pos] != ".":
                 raise NotPrefixClosed(f"bad tree text {s!r} at {pos}")
             pos += 1
-            internal.append(addr)
-            rec(addr + "0")
-            rec(addr + "1")
-            if pos >= len(s) or s[pos] != ")":
-                raise NotPrefixClosed(f"bad tree text {s!r} at {pos}")
-            pos += 1
-
-        rec("")
         if pos != len(s):
             raise NotPrefixClosed(f"trailing characters in {s!r}")
         return BinaryTree(internal)
@@ -126,10 +126,6 @@ class BinaryTree:
 
 
 TRIVIAL = BinaryTree()
-
-
-def make_tree(internal: Iterable[Address]) -> BinaryTree:
-    return BinaryTree(internal)
 
 
 def leaves(T: BinaryTree) -> list[Address]:
@@ -196,23 +192,16 @@ def shadow_interval(T: BinaryTree, v: Address) -> tuple[int, int]:
     """1-based leaf index interval spanned by the subtree below v."""
     if v not in T:
         raise NotAVertex(f"{format_address(v)} is not a vertex of {T.to_text()}")
-    lv = leaves(T)
-    idx = [i + 1 for i, w in enumerate(lv) if w.startswith(v)]
-    return (idx[0], idx[-1])
+    return _spans(T)[v]
 
 
 def _spans(T: BinaryTree) -> dict[Address, tuple[int, int]]:
-    """1-based leaf index interval below every internal vertex: from the end
-    of its leftmost branch to the end of its rightmost one."""
-    pos = {w: i + 1 for i, w in enumerate(leaves(T))}
-    out = {}
-    for v in T.internal:
-        lo = hi = v
-        while lo in T.internal:
-            lo += "0"
-        while hi in T.internal:
-            hi += "1"
-        out[v] = (pos[lo], pos[hi])
+    """1-based leaf index interval below every vertex: (i, i) for the i-th
+    leaf, and for an internal vertex from the start of its left child's
+    interval to the end of its right child's."""
+    out = {w: (i + 1, i + 1) for i, w in enumerate(leaves(T))}
+    for v in sorted(T.internal, reverse=True):  # both children before v
+        out[v] = (out[v + "0"][0], out[v + "1"][1])
     return out
 
 
@@ -220,7 +209,8 @@ def shadow_pattern(T: BinaryTree) -> frozenset[tuple[int, int]]:
     """Shadow intervals of every internal vertex except the topmost one."""
     if T.leaf_count < 2:
         raise TooSmall("tree must have at least 2 leaves")
-    return frozenset(span for v, span in _spans(T).items() if v)
+    spans = _spans(T)
+    return frozenset(spans[v] for v in T.internal if v)
 
 
 def tree_from_shadow_pattern(p: Iterable[tuple[int, int]], n: int) -> BinaryTree:
@@ -233,10 +223,11 @@ def tree_from_shadow_pattern(p: Iterable[tuple[int, int]], n: int) -> BinaryTree
             raise NotLaminar(f"interval [{lo},{hi}] is not proper in [1,{n}]")
     used = set()
     internal: list[Address] = []
-
-    def build(lo: int, hi: int, addr: Address) -> None:
+    todo = [(1, n, "")]
+    while todo:
+        lo, hi, addr = todo.pop()
         if lo == hi:
-            return
+            continue
         internal.append(addr)
         split = lo
         for j in range(lo, hi):
@@ -248,10 +239,7 @@ def tree_from_shadow_pattern(p: Iterable[tuple[int, int]], n: int) -> BinaryTree
             if (split + 1, hi) not in intervals:
                 raise NotLaminar(f"no interval covers [{split + 1},{hi}]")
             used.add((split + 1, hi))
-        build(lo, split, addr + "0")
-        build(split + 1, hi, addr + "1")
-
-    build(1, n, "")
+        todo += ((split + 1, hi, addr + "1"), (lo, split, addr + "0"))
     if used != intervals:
         raise NotLaminar("intervals do not form a laminar tree pattern")
     return BinaryTree(internal)
@@ -342,7 +330,7 @@ def skeleton(n: int) -> Skeleton:
     ts = _all_trees(n)
     L = n + 1
     spans = [_spans(T) for T in ts]
-    masks = tuple(interval_mask((s for v, s in sp.items() if v), L) for sp in spans)
+    masks = tuple(interval_mask((sp[v] for v in T.internal if v), L) for T, sp in zip(ts, spans))
     by_mask = {m: i for i, m in enumerate(masks)}
     left = []
     for T, sp, m in zip(ts, spans, masks):
@@ -350,7 +338,7 @@ def skeleton(n: int) -> Skeleton:
         for u in sorted(T.internal):
             if u + "0" in T.internal:
                 a, b = sp[u + "0"]
-                x = sp[u + "00"][1] if u + "00" in T.internal else a
+                x = sp[u + "00"][1]
                 rot.append(by_mask[m ^ interval_mask([(a, b), (x + 1, sp[u][1])], L)])
         left.append(tuple(rot))
     return Skeleton(ts, {T: i for i, T in enumerate(ts)}, masks, tuple(left))
@@ -453,11 +441,9 @@ def projection(T: BinaryTree, subs: list[tuple[Address, BinaryTree]]) -> General
         claimed |= body
         absorb[w] = [w + l for l in leaves(S)]
 
-    def build(v: Address) -> GeneralTree:
-        if v in absorb:
-            return GeneralTree(build(c) for c in absorb[v])
-        if v in T.internal:
-            return GeneralTree((build(v + "0"), build(v + "1")))
-        return GeneralTree()
-
-    return build("")
+    leaf = GeneralTree()
+    nodes: dict[Address, GeneralTree] = {}
+    for v in sorted(T.internal, reverse=True):  # every descendant before v
+        kids = absorb.get(v, (v + "0", v + "1"))
+        nodes[v] = GeneralTree(nodes.get(c, leaf) for c in kids)
+    return nodes.get("", leaf)

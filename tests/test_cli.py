@@ -201,6 +201,29 @@ def test_domain_error_exit(capsys):
     assert run(capsys, "trees", "--inspect", "((..)")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["map", "(..)"], "expected exactly two trees"),
+        (["map", "(..)", "(..)", "(..)"], "expected exactly two trees"),
+        (["mi-search", "--n", "11"], "n=11 outside [2, 8]"),
+        (["trees", "2", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    ],
+)
+def test_usage_errors_exit_2(argv, message):
+    # a fresh process, so that a traceback would reach stderr instead of pytest
+    src = os.path.dirname(os.path.dirname(treecolor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "treecolor.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_deterministic_output(capsys):
     a = run(capsys, "graph", "112131")
     b = run(capsys, "graph", "112131")

@@ -25,7 +25,6 @@ from treecolor.trees import (
     join,
     leaves,
     left_vine,
-    make_tree,
     parse_address,
     projection,
     right_vine,
@@ -77,7 +76,7 @@ def test_text_round_trip():
 
 def test_prefix_closure_enforced():
     with pytest.raises(NotPrefixClosed):
-        make_tree(["", "00"])  # missing "0"
+        BinaryTree(["", "00"])  # missing "0"
 
 
 # ---------- enumeration ----------
@@ -120,6 +119,11 @@ def test_shadow_interval_vine():
     T = right_vine(3)  # leaves 0, 10, 110, 111
     assert shadow_interval(T, "1") == (2, 4)
     assert shadow_interval(T, "11") == (3, 4)
+    assert shadow_interval(T, "") == (1, 4)
+    assert [shadow_interval(T, v) for v in leaves(T)] == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert shadow_interval(TRIVIAL, "") == (1, 1)
+    with pytest.raises(NotAVertex):
+        shadow_interval(T, "01")
     assert shadow_pattern(T) == frozenset({(2, 4), (3, 4)})
 
 
