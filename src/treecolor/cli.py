@@ -153,6 +153,7 @@ def cmd_graph(args) -> int:
 def cmd_map(args) -> int:
     if args.chromatic:
         fam, n = args.chromatic
+        maps.check_count_size(int(n))  # every family member has n vertices
         t = maps.family(fam, int(n))
         got = maps.count_vertex_colorings(t, 4)
         _out(

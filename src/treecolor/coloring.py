@@ -4,21 +4,31 @@ acceptability and rigidity classification, and pattern machinery.
 Colors are coded 0..3 with XOR as addition (so 1+2=3 and every color is its
 own inverse).  A color vector assigns one color per leaf in left-right order;
 it induces a unique edge coloring with zero-sum at every caret.
+
+The codes 1, 2, 3 are also 1, w, w^2 in GF(4), whose additive group is
+Z2 x Z2.  A code is a pair of bits (h, l) = (code >> 1, code & 1), and the
+successor map 1 -> 2 -> 3 -> 1 is multiplication by w, which is linear over
+GF(2): (h, l) -> (h ^ l, h); multiplication by w^2 is (h, l) -> (l, h ^ l).
+So all 2^(n-1) normalized colorings of an n-caret tree are computed at once
+as bit planes: one pair of 2^(n-1)-bit ints (h, l) per edge, whose bit s
+belongs to sign assignment s (see sign_order).
 """
 
 from __future__ import annotations
 
-from functools import reduce as _reduce
+from functools import lru_cache, reduce as _reduce
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ImproperColoring,
     LengthMismatch,
+    OutOfRange,
+    TooLarge,
     TooShort,
     ZeroEntry,
     ZeroRoot,
 )
-from .trees import Address, BinaryTree, leaves
+from .trees import Address, BinaryTree, _spans, leaves
 from .thompson import TreePair
 
 Color = int
@@ -195,29 +205,114 @@ def sign_order(T: BinaryTree) -> list[Address]:
     return sorted(T.internal, key=lambda v: (v == "", v))
 
 
-def vectors_from_sign_bits(T: BinaryTree, assignments: Iterable[int]) -> list[ColorVector]:
-    """The root-color-1 vector of each sign assignment, as bits over sign_order(T)."""
-    order = sign_order(T)
-    lv = leaves(T)
+# A plane holds one bit per normalized sign assignment, 2^(n-1) bits for n
+# carets; beyond this many carets the planes (and the colorings) are too big.
+PLANE_MAX_CARETS = 20
+
+
+@lru_cache(maxsize=None)
+def _sign_masks(k: int) -> tuple[int, ...]:
+    """Mask i has bit s set iff bit i of s is set, for s below 2^k."""
     out = []
-    for bits in assignments:
-        e = coloring_from_sign(T, {v: not bits >> i & 1 for i, v in enumerate(order)}, 1)
-        out.append(tuple(e[v] for v in lv))
-    return out
+    for i in range(k):
+        width = 2 << i
+        m = ((1 << (1 << i)) - 1) << (1 << i)  # 2^i clear bits, then 2^i set
+        while width < 1 << k:
+            m |= m << width
+            width *= 2
+        out.append(m)
+    return tuple(out)
+
+
+def leaf_planes(T: BinaryTree) -> list[tuple[int, int]]:
+    """Every normalized coloring of T at once: (h, l) per leaf, left to right.
+
+    Bit s of h and of l are the high and low bit of the leaf's color under
+    sign assignment s, an int below 2^(n-1) over sign_order(T).  The root
+    edge has color 1; below each caret the left edge gets w times the color
+    above it if the caret is positive and w^2 times it if negative, and the
+    right edge gets the sum of the two.
+    """
+    if T.carets > PLANE_MAX_CARETS:
+        raise TooLarge(f"colorings limited to {PLANE_MAX_CARETS} carets, got {T.carets}")
+    k = max(T.carets - 1, 0)
+    order = sorted(T.internal)  # v before both children
+    # sign_order(T) is order[1:] and then the root, which stays positive
+    negative = dict(zip(order[1:], _sign_masks(k)))
+    planes = {"": (0, (1 << (1 << k)) - 1)}
+    for v in order:
+        h, l = planes.pop(v)
+        m = negative.get(v, 0)
+        # w*(h, l) = (h ^ l, h), and w*a ^ w^2*a = a, so masking a by m
+        # turns w into w^2 exactly where v is negative
+        h0, l0 = h ^ l ^ (h & m), h ^ (l & m)
+        planes[v + "0"] = (h0, l0)
+        planes[v + "1"] = (h ^ h0, l ^ l0)
+    return [planes[v] for v in sorted(planes)]  # only the leaves are left
+
+
+def _read_vectors(planes: list[tuple[int, int]], assignments: Iterable[int]) -> list[ColorVector]:
+    """The vector of each sign assignment, read off the leaf planes."""
+    return [tuple((h >> s & 1) << 1 | l >> s & 1 for h, l in planes) for s in assignments]
+
+
+def vectors_from_sign_bits(T: BinaryTree, assignments: Iterable[int]) -> list[ColorVector]:
+    """The root-color-1 vector of each normalized sign assignment, as bits
+    over sign_order(T): ints below 2^(n-1), so the root is positive."""
+    assignments = list(assignments)
+    if not assignments:
+        return []  # nothing to read, so no planes
+    if not 0 <= min(assignments) <= max(assignments) < 1 << max(T.carets - 1, 0):
+        raise OutOfRange("sign assignment with a negative root or out of range")
+    return _read_vectors(leaf_planes(T), assignments)
 
 
 def normalized_colorings(T: BinaryTree) -> list[ColorVector]:
     """The 2^(n-1) vectors with root color 1 and positive topmost sign."""
-    if not T.internal:
-        return [(1,)]
-    out = vectors_from_sign_bits(T, range(1 << (T.carets - 1)))
+    out = _read_vectors(leaf_planes(T), range(1 << max(T.carets - 1, 0)))
     out.sort()
     return out
 
 
+def prefix_planes(planes: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """P[j] = sum of leaves 1..j, so interval (lo, hi) sums to P[hi] ^ P[lo-1]."""
+    out = [(0, 0)]
+    for h, l in planes:
+        ph, pl = out[-1]
+        out.append((ph ^ h, pl ^ l))
+    return out
+
+
+def nonzero_mask(pre: list[tuple[int, int]], lo: int, hi: int) -> int:
+    """The assignments on which leaves lo..hi sum to a nonzero color."""
+    (ah, al), (bh, bl) = pre[lo - 1], pre[hi]
+    return (ah ^ bh) | (al ^ bl)
+
+
 def colorings_of_pair(p: TreePair) -> list[ColorVector]:
-    """Normalized vectors valid for both trees of the pair."""
-    return [c for c in normalized_colorings(p.d) if is_valid(p.r, c)]
+    """Normalized vectors of p.d valid for p.r, in increasing order.
+
+    A vector is valid for R iff every shadow interval of R sums to a nonzero
+    color; the interval of R's root sums to the root color 1 and a leaf to
+    its own color, so only R's other carets can fail.
+    """
+    if p.d.leaf_count != p.r.leaf_count:
+        raise LengthMismatch(f"vector length {p.d.leaf_count} != leaf count {p.r.leaf_count}")
+    planes = leaf_planes(p.d)
+    pre = prefix_planes(planes)
+    ok = pre[-1][1]  # the leaves sum to the root color 1, (0, every assignment)
+    spans = _spans(p.r)
+    for v in p.r.internal:
+        if v:
+            ok &= nonzero_mask(pre, *spans[v])
+    survivors = []
+    while ok:
+        low = ok & -ok
+        survivors.append(low.bit_length() - 1)
+        ok ^= low
+    out = _read_vectors(planes, survivors)
+    out.sort()
+    return out
 
 
 # ---------- Patterns ----------

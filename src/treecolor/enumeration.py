@@ -7,9 +7,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BoundExceeded, TooSmall
-from .coloring import classify_vector, is_rigid, normalized_colorings, zero_intervals
+from .coloring import (
+    classify_vector,
+    is_rigid,
+    leaf_planes,
+    nonzero_mask,
+    prefix_planes,
+    zero_intervals,
+)
 from .thompson import TreePair
-from .trees import interval_mask, skeleton
+from .trees import skeleton
 
 
 class RecurrenceSpec(NamedTuple):
@@ -94,19 +101,31 @@ class CountReport(NamedTuple):
 
 
 def pair_coloring_counts(carets: int):
-    """(pair, normalized coloring count) for every prime pair of this size."""
+    """(pair, normalized coloring count) for every prime pair of this size.
+
+    Per tree D, every interval (lo, hi) gets the mask of D's normalized
+    colorings on which it sums to a nonzero color; the count for R is the
+    popcount of the AND of those masks over R's shadow intervals.
+    """
     sk = skeleton(carets)
     L = carets + 1
-    zero_masks = [
-        [interval_mask(zero_intervals(c), L) for c in normalized_colorings(T)]
-        for T in sk.trees
-    ]
-    for d, shadow_d, zeros in zip(sk.trees, sk.masks, zero_masks):
-        for r, shadow_r in zip(sk.trees, sk.masks):
+    # each tree's shadow intervals as positions in the interval_mask encoding
+    shadows = [[b for b in range(L * L) if m >> b & 1] for m in sk.masks]
+    for d, shadow_d in zip(sk.trees, sk.masks):
+        pre = prefix_planes(leaf_planes(d))
+        full = pre[-1][1]  # the leaves sum to the root color 1, (0, every assignment)
+        nonzero = {
+            (lo - 1) * L + hi - 1: nonzero_mask(pre, lo, hi)
+            for lo in range(1, L + 1)
+            for hi in range(lo + 1, L + 1)
+        }
+        for r, shadow_r, bits in zip(sk.trees, sk.masks, shadows):
             if shadow_d & shadow_r:
                 continue  # not prime
-            count = sum(1 for bad in zeros if not shadow_r & bad)
-            yield TreePair(d, r), count
+            ok = full
+            for b in bits:
+                ok &= nonzero[b]
+            yield TreePair(d, r), ok.bit_count()
 
 
 def max_coloring_search(n: int, bound: int = 8) -> CountReport:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import OutOfRange, TooLarge, TooSmall
+from .errors import LengthMismatch, OutOfRange, TooLarge, TooSmall
 from .coloring import ColorVector, is_valid, normalized_colorings
 from .paths import signed_balance
 from .thompson import TreePair
@@ -22,26 +22,49 @@ from .trees import (
 if TYPE_CHECKING:
     import networkx as nx
 
-# networkx is imported inside the functions that build graphs, so importing the
-# package (and the CLI commands that draw no graph) does not pay for it.
+# Maps are vertex and edge tuples, so duals, primality, the families and the
+# chromatic counts never load networkx; the graph properties and the
+# fixtures that take networkx graphs import it when they are used.
+
+
+def _to_networkx(vertices: tuple, edges: tuple, multigraph: bool):
+    import networkx as nx
+
+    g = nx.MultiGraph() if multigraph else nx.Graph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from(edges)
+    return g
 
 
 class Triangulation(NamedTuple):
     name: str
-    graph: nx.Graph  # MultiGraph for duals of non-prime pairs
+    vertices: tuple
+    edges: tuple  # of (a, b); a parallel edge is repeated
+    multigraph: bool = False  # duals of tree pairs may have parallel edges
 
     @property
     def n(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.vertices)
+
+    @property
+    def graph(self) -> nx.Graph:
+        """A networkx Graph (MultiGraph for duals), built on each access."""
+        return _to_networkx(self.vertices, self.edges, self.multigraph)
 
 
 class SphereMap(NamedTuple):
-    graph: nx.MultiGraph  # cubic, from the pair glued leaf-to-leaf
+    vertices: tuple
+    edges: tuple  # cubic, from the pair glued leaf-to-leaf
     dual: Triangulation
 
     @property
     def face_count(self) -> int:
         return self.dual.n
+
+    @property
+    def graph(self) -> nx.MultiGraph:
+        """The cubic map as a networkx MultiGraph, built on each access."""
+        return _to_networkx(self.vertices, self.edges, True)
 
 
 class VTriple(NamedTuple):
@@ -58,17 +81,11 @@ def pair_to_dual(p: TreePair) -> Triangulation:
     L = p.d.leaf_count
     if L < 2 or p.r.leaf_count != L:
         raise TooSmall("pair must have at least 2 leaves on each side")
-    import networkx as nx
-
-    g = nx.MultiGraph()
-    g.add_nodes_from(range(L + 1))
-    for i in range(1, L + 1):
-        g.add_edge(i - 1, i)
-    g.add_edge(L, 0)
+    edges = [(i - 1, i) for i in range(1, L + 1)]
+    edges.append((L, 0))
     for T in (p.d, p.r):
-        for a, b in shadow_pattern(T):
-            g.add_edge(a - 1, b)
-    return Triangulation("dual", g)
+        edges.extend((a - 1, b) for a, b in shadow_pattern(T))
+    return Triangulation("dual", tuple(range(L + 1)), tuple(edges), multigraph=True)
 
 
 def pair_to_map(p: TreePair) -> SphereMap:
@@ -76,22 +93,21 @@ def pair_to_map(p: TreePair) -> SphereMap:
     L = p.d.leaf_count
     if L < 2 or p.r.leaf_count != L:
         raise TooSmall("pair must have at least 2 leaves on each side")
-    import networkx as nx
-
-    g = nx.MultiGraph()
+    vertices, edges = [], []
     for side, T in (("d", p.d), ("r", p.r)):
-        for v in T.internal:
-            g.add_node((side, v))
+        for v in sorted(T.internal):
+            vertices.append((side, v))
             if v:
-                g.add_edge((side, v[:-1]), (side, v))
-    g.add_edge(("d", ""), ("r", ""))
-    dl, rl = leaves(p.d), leaves(p.r)
-    for a, b in zip(dl, rl):
-        g.add_edge(("d", a[:-1]), ("r", b[:-1]))
-    return SphereMap(g, pair_to_dual(p))
+                edges.append(((side, v[:-1]), (side, v)))
+    edges.append((("d", ""), ("r", "")))
+    for a, b in zip(leaves(p.d), leaves(p.r)):
+        edges.append((("d", a[:-1]), ("r", b[:-1])))
+    return SphereMap(tuple(vertices), tuple(edges), pair_to_dual(p))
 
 
 def common_intervals(p: TreePair) -> set[tuple[int, int]]:
+    if p.d.leaf_count != p.r.leaf_count:
+        raise LengthMismatch(f"leaf counts differ: {p.d.leaf_count} != {p.r.leaf_count}")
     if p.d.leaf_count < 2:
         return set()
     return set(shadow_pattern(p.d) & shadow_pattern(p.r))
@@ -104,10 +120,9 @@ def is_prime(p: TreePair) -> bool:
 
 
 def has_parallel_edges(t: Triangulation) -> bool:
-    g = t.graph
-    if not g.is_multigraph():
-        return False
-    return any(k > 0 for _, _, k in g.edges(keys=True))
+    """True iff some unordered pair of vertices is joined more than once."""
+    pairs = [frozenset(e) for e in t.edges]
+    return len(set(pairs)) < len(pairs)
 
 
 def _vertex_with_shadow(T: BinaryTree, interval: tuple[int, int]) -> Address:
@@ -148,70 +163,61 @@ def biwheel(n: int) -> Triangulation:
     """Suspension of an (n-2)-cycle: two apexes joined to every cycle vertex."""
     if n < 5:
         raise TooSmall("biwheel needs at least 5 vertices")
-    import networkx as nx
-
-    g = nx.Graph()
     cyc = list(range(2, n))
-    g.add_edges_from((cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
+    edges = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
     for apex in (0, 1):
-        g.add_edges_from((apex, c) for c in cyc)
-    return Triangulation("W", g)
+        edges.extend((apex, c) for c in cyc)
+    return Triangulation("W", (*cyc, 0, 1), tuple(edges))
 
 
-def _split_cycle_vertex(base: nx.Graph, n_base: int, parts: int) -> nx.Graph:
+def _split_cycle_vertex(name: str, base: Triangulation, parts: int) -> Triangulation:
     """Replace cycle vertex 2 of a biwheel with a fan of new vertices, each
     joined to both cycle neighbors; the apexes attach at the fan's ends."""
-    g = base.copy()
     a, b = 0, 1
     d = 2
-    c, e = n_base - 1, 3  # cycle neighbors of d
-    g.remove_node(d)
-    new = list(range(n_base, n_base + parts))
+    c, e = base.n - 1, 3  # cycle neighbors of d
+    new = list(range(base.n, base.n + parts))
+    edges = [(x, y) for x, y in base.edges if d not in (x, y)]
     for x in new:
-        g.add_edge(x, c)
-        g.add_edge(x, e)
-    for x, y in zip(new, new[1:]):
-        g.add_edge(x, y)
-    g.add_edge(a, new[0])
-    g.add_edge(b, new[-1])
-    return g
+        edges += ((x, c), (x, e))
+    edges.extend(zip(new, new[1:]))
+    edges += ((a, new[0]), (b, new[-1]))
+    vertices = tuple(v for v in base.vertices if v != d) + tuple(new)
+    return Triangulation(name, vertices, tuple(edges))
 
 
 def theta(n: int) -> Triangulation:
     if n < 6:
         raise TooSmall("theta needs at least 6 vertices")
-    base = biwheel(n - 1)
-    return Triangulation("Theta", _split_cycle_vertex(base.graph, n - 1, 2))
+    return _split_cycle_vertex("Theta", biwheel(n - 1), 2)
 
 
 def xi(n: int) -> Triangulation:
     if n < 7:
         raise TooSmall("xi needs at least 7 vertices")
-    base = biwheel(n - 2)
-    return Triangulation("Xi", _split_cycle_vertex(base.graph, n - 2, 3))
+    return _split_cycle_vertex("Xi", biwheel(n - 2), 3)
 
 
 def y_family(n: int) -> Triangulation:
     """Biwheel with one triangle subdivided by a degree-3 vertex."""
     if n < 6:
         raise TooSmall("y needs at least 6 vertices")
-    g = biwheel(n - 1).graph.copy()
+    base = biwheel(n - 1)
     new = n - 1
-    for corner in (0, 2, 3):
-        g.add_edge(new, corner)
-    return Triangulation("Y", g)
+    edges = base.edges + tuple((new, corner) for corner in (0, 2, 3))
+    return Triangulation("Y", base.vertices + (new,), edges)
 
 
 def nabla(n: int) -> Triangulation:
     """Biwheel with a nested triangle inside one face."""
     if n < 8:
         raise TooSmall("nabla needs at least 8 vertices")
-    g = biwheel(n - 3).graph.copy()
+    base = biwheel(n - 3)
     a, c, e = 0, 2, 3  # corners of a face of the base
     p, q, r = n - 3, n - 2, n - 1
-    g.add_edges_from([(p, q), (q, r), (r, p)])
-    g.add_edges_from([(c, p), (p, e), (e, q), (q, a), (a, r), (r, c)])
-    return Triangulation("Nabla", g)
+    edges = base.edges + ((p, q), (q, r), (r, p))
+    edges += ((c, p), (p, e), (e, q), (q, a), (a, r), (r, c))
+    return Triangulation("Nabla", base.vertices + (p, q, r), edges)
 
 
 FAMILIES = {
@@ -232,34 +238,62 @@ def family(name: str, n: int) -> Triangulation:
 # ---------- Chromatic counting ----------
 
 
-def count_vertex_colorings(g, k: int) -> int:
-    """Exact number of proper vertex k-colorings (backtracking)."""
-    if isinstance(g, Triangulation):
-        g = g.graph
-    import networkx as nx
+# the exact counters backtrack over every vertex, so they take small graphs only
+COUNT_MAX_VERTICES = 16
 
-    simple = nx.Graph(g)
-    nodes = list(simple.nodes)
-    if len(nodes) > 16:
-        raise TooLarge("exact counter limited to 16 vertices")
+
+def check_count_size(n: int) -> None:
+    """Refuse an exact vertex-coloring count on more than COUNT_MAX_VERTICES."""
+    if n > COUNT_MAX_VERTICES:
+        raise TooLarge(f"exact counter limited to {COUNT_MAX_VERTICES} vertices")
+
+
+def count_vertex_colorings(g, k: int) -> int:
+    """Exact number of proper vertex k-colorings (backtracking).
+
+    g is a Triangulation or a networkx graph; parallel edges and loops add
+    no constraint.
+    """
+    if isinstance(g, Triangulation):
+        nodes, edges = g.vertices, g.edges
+    else:
+        nodes, edges = list(g.nodes), g.edges()  # (u, v) pairs, also in a MultiGraph
+    check_count_size(len(nodes))
+    adj: dict = {v: set() for v in nodes}
+    for a, b in edges:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
     total = 1
-    for comp in nx.connected_components(simple):
-        total *= _count_component(simple.subgraph(comp), k)
+    seen: set = set()
+    for v in nodes:  # one breadth-first search per component
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        for u in comp:
+            for x in adj[u]:
+                if x not in seen:
+                    seen.add(x)
+                    comp.append(x)
+        total *= _count_component(comp, adj, k)
     return total
 
 
-def _count_component(g: nx.Graph, k: int) -> int:
-    order = []
-    remaining = set(g.nodes)
+def _count_component(comp: list, adj: dict, k: int) -> int:
+    order: list = []
+    remaining = set(comp)
     # keep each new vertex adjacent to as many placed vertices as possible
     while remaining:
+        placed = set(order)
         best = max(
             remaining,
-            key=lambda v: (sum(1 for u in g[v] if u in set(order)), g.degree(v), str(v)),
+            key=lambda v: (len(adj[v] & placed), len(adj[v]), str(v)),
         )
         order.append(best)
         remaining.discard(best)
-    back = [[order.index(u) for u in g[v] if order.index(u) < i] for i, v in enumerate(order)]
+    pos = {v: i for i, v in enumerate(order)}
+    back = [[pos[u] for u in adj[v] if pos[u] < i] for i, v in enumerate(order)]
     colors = [0] * len(order)
 
     def rec(i: int) -> int:
@@ -363,7 +397,7 @@ def edge_three_coloring_count(g: nx.Graph) -> int:
     lg = nx.line_graph(g)
     if lg.number_of_nodes() > 16:
         raise TooLarge("edge coloring counter limited to 16 edges")
-    return count_vertex_colorings(Triangulation("L", lg), 3)
+    return count_vertex_colorings(lg, 3)
 
 
 # ---------- Edge-numbering balance ----------

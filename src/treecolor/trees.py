@@ -406,15 +406,27 @@ class GeneralTree:
         raise AttributeError("GeneralTree is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, GeneralTree) and self.children == other.children
+        # the text is a prefix-free code, so equal texts mean equal trees
+        return isinstance(other, GeneralTree) and self.to_text() == other.to_text()
 
     def __hash__(self):
-        return hash(self.children)
+        return hash(self.to_text())
 
     def to_text(self) -> str:
-        if not self.children:
-            return "."
-        return "(" + "".join(c.to_text() for c in self.children) + ")"
+        """Canonical form: "." for a leaf, "(" + the children's texts + ")" otherwise."""
+        out = []
+        todo: list[GeneralTree | None] = [self]  # None closes a vertex
+        while todo:
+            t = todo.pop()
+            if t is None:
+                out.append(")")
+            elif t.children:
+                out.append("(")
+                todo.append(None)
+                todo.extend(reversed(t.children))
+            else:
+                out.append(".")
+        return "".join(out)
 
     def __repr__(self):
         return f"GeneralTree({self.to_text()!r})"
@@ -431,7 +443,7 @@ def projection(T: BinaryTree, subs: list[tuple[Address, BinaryTree]]) -> General
     for w, S in subs:
         if S.leaf_count < 3:
             raise SubtreeTooSmall(f"subtree at {format_address(w)} has fewer than 3 leaves")
-        for x in S.internal:
+        for x in sorted(S.internal):  # the first missing vertex in a fixed order
             if w + x not in T.internal:
                 raise NotAVertex(f"{format_address(w + x)} is not internal in T")
         body = {w + x for x in S.internal} | {w + l for l in leaves(S)}

@@ -242,16 +242,17 @@ def test_criterion_09_chromatic_closed_forms():
 def test_criterion_10_extreme_count_conjecture():
     """Exhaustive search over prime pairs: the largest coloring count
     matches its predicted formula for 5 <= n <= 8 with a biwheel dual as
-    witness, and at n = 9 all four predicted ranks appear exactly."""
+    witness, and at n = 9 and n = 10 all four predicted ranks appear exactly."""
     for n in range(5, 9):
         rep = enumeration.max_coloring_search(n)
         top, witness = rep.entries[0]
         assert top == enumeration.conjectured_m(1, n)
         dual = nx.Graph(maps.pair_to_dual(witness).graph)
         assert nx.is_isomorphic(dual, maps.biwheel(n).graph)
-    rep = enumeration.max_coloring_search(9, bound=9)
-    got = [count for count, _ in rep.entries]
-    assert got == [enumeration.conjectured_m(i, 9) for i in (1, 2, 3, 4)]
+    for n in (9, 10):
+        rep = enumeration.max_coloring_search(n, bound=n)
+        got = [count for count, _ in rep.entries]
+        assert got == [enumeration.conjectured_m(i, n) for i in (1, 2, 3, 4)]
 
 
 def test_criterion_11_long_path_diameters():

@@ -208,6 +208,10 @@ def test_domain_error_exit(capsys):
         (["map", "(..)", "(..)", "(..)"], "expected exactly two trees"),
         (["mi-search", "--n", "11"], "n=11 outside [2, 8]"),
         (["trees", "2", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+        # refused before the 10^8-vertex biwheel is built
+        (["map", "--chromatic", "W", "100000000"], "exact counter limited to 16 vertices"),
+        (["map", "(..)", "(((..).).)"], "leaf counts differ: 2 != 4"),
+        (["map", "--factor", "(..)", "(((..).).)"], "leaf counts differ: 2 != 4"),
     ],
 )
 def test_usage_errors_exit_2(argv, message):
@@ -239,6 +243,32 @@ def test_import_leaves_networkx_unloaded(module):
     src = os.path.dirname(os.path.dirname(treecolor.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = f"import sys, {module}; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["map", "--chromatic", "W", "8"],
+        ["map", "((..).)", "(.(..))", "--factor"],
+        ["color", "1", "--pair", "((..).)", "(.(..))"],
+        ["mi-search", "--n", "8"],
+    ],
+)
+def test_commands_leave_networkx_unloaded(argv):
+    src = os.path.dirname(os.path.dirname(treecolor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import contextlib, io, sys\n"
+        "from treecolor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print('networkx' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

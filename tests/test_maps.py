@@ -3,13 +3,19 @@ triangulation families, surface triples and edge-numbering balance."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
+import treecolor
 from treecolor.coloring import colorings_of_pair
-from treecolor.errors import OutOfRange, TooLarge, TooSmall
+from treecolor.errors import LengthMismatch, OutOfRange, TooLarge, TooSmall
 from treecolor.maps import (
     FAMILIES,
+    Triangulation,
     balance_classification,
     biwheel,
     closed_form,
@@ -76,6 +82,61 @@ def test_pair_to_map_is_cubic():
     assert m.graph.number_of_nodes() == 2 * p.d.carets
 
 
+def test_maps_are_edge_tuples_with_networkx_views():
+    T = right_vine(3)
+    dual = pair_to_dual(TreePair(T, T))
+    assert dual.vertices == (0, 1, 2, 3, 4)
+    # the boundary cycle, then each tree's chords: both trees repeat them
+    assert sorted(dual.edges[5:7]) == sorted(dual.edges[7:])
+    g = dual.graph
+    assert type(g) is nx.MultiGraph and g.number_of_edges() == len(dual.edges) == 9
+    assert type(biwheel(6).graph) is nx.Graph
+    m = pair_to_map(TreePair(T, T))
+    assert type(m.graph) is nx.MultiGraph
+    assert m.graph.number_of_edges() == len(m.edges) == 3 * T.carets
+
+
+def test_has_parallel_edges_counts_unordered_pairs():
+    def tri(*edges):
+        return Triangulation("t", tuple(range(4)), edges)
+
+    assert not has_parallel_edges(tri((0, 1), (1, 2), (2, 0)))
+    assert has_parallel_edges(tri((0, 1), (1, 2), (1, 0)))
+    assert has_parallel_edges(tri((0, 1), (2, 3), (0, 1)))
+    assert not has_parallel_edges(biwheel(7))
+
+
+def test_count_vertex_colorings_ignores_parallel_edges():
+    # a non-prime dual has parallel chords; the count is that of its simple graph
+    T = right_vine(3)
+    dual = pair_to_dual(TreePair(T, T))
+    assert has_parallel_edges(dual)
+    assert count_vertex_colorings(dual, 4) == count_vertex_colorings(nx.Graph(dual.graph), 4)
+    assert count_vertex_colorings(dual, 4) == count_vertex_colorings(dual.graph, 4)
+
+
+def test_map_layer_leaves_networkx_unloaded():
+    src = os.path.dirname(os.path.dirname(treecolor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from treecolor import coloring, enumeration, maps\n"
+        "from treecolor.thompson import TreePair\n"
+        "from treecolor.trees import left_vine, right_vine\n"
+        "p = TreePair(left_vine(3), right_vine(3))\n"
+        "assert not maps.has_parallel_edges(maps.pair_to_dual(p))\n"
+        "assert maps.has_parallel_edges(maps.pair_to_dual(TreePair(p.d, p.d)))\n"
+        "assert coloring.colorings_of_pair(p) == [(2, 1, 1, 3)]\n"
+        "rep = enumeration.max_coloring_search(9, bound=9)\n"
+        "assert [c for c, _ in rep.entries] == [enumeration.conjectured_m(i, 9) for i in (1, 2, 3, 4)]\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_map_too_small():
     with pytest.raises(TooSmall):
         pair_to_map(TreePair(BinaryTree([]), BinaryTree([])))
@@ -89,6 +150,13 @@ def test_is_prime_fixtures():
     T = right_vine(4)
     assert not is_prime(TreePair(T, T))
     assert common_intervals(TreePair(T, T)) == {(2, 5), (3, 5), (4, 5)}
+
+
+def test_primality_rejects_unequal_leaf_counts():
+    p = TreePair(right_vine(1), right_vine(3))
+    for f in (common_intervals, is_prime, prime_factorization):
+        with pytest.raises(LengthMismatch, match="leaf counts differ: 2 != 4"):
+            f(p)
 
 
 def test_prime_matches_parallel_edge_oracle():

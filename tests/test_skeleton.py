@@ -224,7 +224,7 @@ def ref_pair_coloring_counts(carets):
                 yield TreePair(d, r), sum(1 for bad in zeros[d] if not shadows[r] & bad)
 
 
-@pytest.mark.parametrize("carets", range(0, 6))
+@pytest.mark.parametrize("carets", range(0, 8))
 def test_pair_coloring_counts_match_reference(carets):
     assert list(pair_coloring_counts(carets)) == list(ref_pair_coloring_counts(carets))
 

@@ -22,7 +22,17 @@ from treecolor.coloring import (
     vector_sum,
 )
 from treecolor.errors import NotPrefixClosed
-from treecolor.trees import BinaryTree, all_trees, join, leaves, left_vine, right_vine
+from treecolor.trees import (
+    BinaryTree,
+    GeneralTree,
+    all_trees,
+    join,
+    leaves,
+    left_vine,
+    projection,
+    right_vine,
+    subtree_at,
+)
 
 DEEP = 1500  # carets; more than the default recursion limit of 1000
 
@@ -107,6 +117,12 @@ def ref_preorder(T: BinaryTree) -> list[str]:
     return rec("")
 
 
+def ref_general_text(g: GeneralTree) -> str:
+    if not g.children:
+        return "."
+    return "(" + "".join(ref_general_text(c) for c in g.children) + ")"
+
+
 def outcome(f, *args):
     try:
         return f(*args)
@@ -156,6 +172,30 @@ def test_coloring_dict_order_matches_reference():
             assert list(f) == [""] + [v + b for v in ref_preorder(T) for b in "01"]
 
 
+def test_general_tree_text_and_equality_match_reference():
+    # every projection that collapses one subtree of a tree with <= 6 carets
+    seen = {}
+    for n in range(0, 7):
+        for T in all_trees(n):
+            cases = [projection(T, [])]
+            cases += [
+                projection(T, [(w, subtree_at(T, w))])
+                for w in sorted(T.internal)
+                if subtree_at(T, w).leaf_count >= 3
+            ]
+            for g in cases:
+                text = ref_general_text(g)
+                assert g.to_text() == text
+                assert repr(g) == f"GeneralTree({text!r})"
+                if text in seen:
+                    assert g == seen[text] and hash(g) == hash(seen[text])
+                seen[text] = g
+    texts = list(seen)
+    # distinct texts are distinct trees, also as dict keys
+    assert len({seen[t]: t for t in texts}) == len(texts)
+    assert GeneralTree([GeneralTree()] * 3) != GeneralTree([GeneralTree([GeneralTree()] * 2), GeneralTree()])
+
+
 # ---------- deep trees ----------
 
 
@@ -192,3 +232,14 @@ def test_deep_witness_cli(capsys):
     w = BinaryTree.from_text(data["witness"])
     assert w.carets == len(v) - 1
     assert is_valid(w, parse_vector(v))
+
+
+@pytest.mark.parametrize("vine", [right_vine, left_vine])
+def test_deep_projection_prints_and_hashes(vine):
+    g = projection(vine(DEEP), [])
+    assert g.to_text() == vine(DEEP).to_text()
+    assert repr(g) == f"GeneralTree({vine(DEEP).to_text()!r})"
+    again = projection(vine(DEEP), [])
+    assert g == again and hash(g) == hash(again)
+    other = left_vine if vine is right_vine else right_vine
+    assert g != projection(other(DEEP), [])

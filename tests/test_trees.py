@@ -3,9 +3,14 @@ shadow patterns, rotations, the dihedral action and projections."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import treecolor
 from treecolor.errors import (
     NotAVertex,
     NotEdgeDisjoint,
@@ -240,3 +245,26 @@ def test_projection_errors():
         projection(T, [("0", BinaryTree(["", "0"]))])
     with pytest.raises(NotEdgeDisjoint):
         projection(T, [("", BinaryTree(["", "1"])), ("1", BinaryTree(["", "1"]))])
+
+
+def test_projection_error_is_independent_of_the_hash_seed():
+    # S has 15 internal vertices and 13 of them are missing from T; the
+    # message names the first in sorted order, not in frozenset order
+    src = os.path.dirname(os.path.dirname(treecolor.__file__))
+    code = (
+        "from itertools import product\n"
+        "from treecolor.trees import BinaryTree, NotAVertex, projection, right_vine\n"
+        "S = BinaryTree(''.join(b) for k in range(4) for b in product('01', repeat=k))\n"
+        "try:\n"
+        "    projection(right_vine(2), [('', S)])\n"
+        "except NotAVertex as e:\n"
+        "    print(e)\n"
+    )
+    outs = []
+    for seed in ("0", "2"):  # two seeds that iterate S.internal differently
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outs.append(out.stdout)
+    assert outs == ["0 is not internal in T\n"] * 2
