@@ -2,24 +2,36 @@
 
 Every command is deterministic: identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 check/verification failure, 2 usage error.
+
+Each handler imports the modules it runs, so a query loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import assoc, coloring, enumeration, maps, paths, suites, thompson, trees
-from .errors import TreeColorError
+from .errors import TooLarge, TreeColorError
+
+if TYPE_CHECKING:
+    from .trees import BinaryTree
+
+# size budgets, checked before any work
+TREES_MAX_CARETS = 12  # all_trees(12) lists 208,012 trees; 16 carets would be 35M
+COUNTS_MAX_N = 4000  # the values stay below Python's 4300-digit int-to-str limit
 
 
-def _tree(arg: str) -> trees.BinaryTree:
-    return trees.BinaryTree.from_text(arg)
+def _tree(arg: str) -> BinaryTree:
+    from .trees import BinaryTree
+
+    return BinaryTree.from_text(arg)
 
 
 def _out(args, data, text: str) -> None:
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps(data, sort_keys=True))
     else:
         print(text)
@@ -29,6 +41,8 @@ def _out(args, data, text: str) -> None:
 
 
 def cmd_trees(args) -> int:
+    from . import trees
+
     if args.inspect:
         T = _tree(args.inspect)
         info = {
@@ -41,6 +55,8 @@ def cmd_trees(args) -> int:
             info["shadow"] = sorted(trees.shadow_pattern(T))
         _out(args, info, "\n".join(f"{k}: {v}" for k, v in info.items()))
         return 0
+    if args.n > TREES_MAX_CARETS:
+        raise TooLarge(f"trees limited to {TREES_MAX_CARETS} carets, got {args.n}")
     ts = trees.all_trees(args.n)
     _out(
         args,
@@ -51,6 +67,8 @@ def cmd_trees(args) -> int:
 
 
 def cmd_color(args) -> int:
+    from . import coloring
+
     c = coloring.parse_vector(args.vector)
     if args.tree:
         T = _tree(args.tree)
@@ -58,8 +76,10 @@ def cmd_color(args) -> int:
         _out(args, {"valid": ok}, "valid" if ok else "invalid")
         return 0 if ok else 1
     if args.pair:
+        from .thompson import TreePair
+
         d, r = (_tree(s) for s in args.pair)
-        found = coloring.colorings_of_pair(thompson.TreePair(d, r))
+        found = coloring.colorings_of_pair(TreePair(d, r))
         _out(
             args,
             {"colorings": [coloring.format_vector(x) for x in found]},
@@ -77,7 +97,11 @@ def cmd_color(args) -> int:
 
 
 def cmd_path(args) -> int:
+    from . import thompson
+
     if args.find:
+        from . import paths
+
         D, R = (_tree(s) for s in args.find)
         w = paths.find_sign_consistent_path(D, R)
         if w is None:
@@ -87,10 +111,14 @@ def cmd_path(args) -> int:
         return 0
     w = thompson.parse_word(args.word)
     if args.square is not None:
+        from . import paths
+
         w2 = paths.square_move(w, args.square)
         _out(args, {"word": thompson.format_word(w2)}, thompson.format_word(w2))
         return 0
     if args.pentagon is not None:
+        from . import paths
+
         w2 = paths.pentagon_move(w, args.pentagon)
         _out(args, {"word": thompson.format_word(w2)}, thompson.format_word(w2))
         return 0
@@ -108,6 +136,8 @@ def cmd_path(args) -> int:
 
 
 def cmd_sigma(args) -> int:
+    from . import paths, thompson, trees
+
     w = thompson.parse_word(args.word)
     ss = paths.sign_structure(w)
     bal, p = paths.is_balanced(ss)
@@ -128,6 +158,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import assoc, coloring
+
     c = coloring.parse_vector(args.vector)
     g = assoc.color_graph(c)
     if args.dot:
@@ -151,21 +183,29 @@ def cmd_graph(args) -> int:
 
 
 def cmd_map(args) -> int:
+    from . import maps
+
     if args.chromatic:
         fam, n = args.chromatic
-        maps.check_count_size(int(n))  # every family member has n vertices
-        t = maps.family(fam, int(n))
+        try:
+            size = int(n)
+        except ValueError:
+            args.usage(f"--chromatic N must be an integer, got {n!r}")
+        maps.check_count_size(size)  # every family member has n vertices
+        t = maps.family(fam, size)
         got = maps.count_vertex_colorings(t, 4)
         _out(
             args,
-            {"family": fam, "n": int(n), "colorings": got, "per_s4": got // 24},
+            {"family": fam, "n": size, "colorings": got, "per_s4": got // 24},
             f"{fam}_{n}: {got} four-colorings ({got // 24} mod color symmetry)",
         )
         return 0
     if len(args.pair) != 2:
         args.usage("expected exactly two trees D R, or --chromatic FAMILY N")
+    from .thompson import TreePair
+
     d, r = (_tree(s) for s in args.pair)
-    p = thompson.TreePair(d, r)
+    p = TreePair(d, r)
     if args.factor:
         fac = maps.prime_factorization(p)
         _out(
@@ -180,6 +220,10 @@ def cmd_map(args) -> int:
 
 
 def cmd_counts(args) -> int:
+    from . import enumeration
+
+    if args.n > COUNTS_MAX_N:
+        raise TooLarge(f"counts limited to n <= {COUNTS_MAX_N}, got {args.n}")
     fns = {
         "acceptable": enumeration.count_acceptable,
         "rigid": enumeration.count_rigid,
@@ -192,6 +236,8 @@ def cmd_counts(args) -> int:
 
 
 def cmd_mi_search(args) -> int:
+    from . import enumeration
+
     rep = enumeration.max_coloring_search(args.n)
     rows = [
         (rep.n, i + 1, count, w.d.to_text(), w.r.to_text())
@@ -211,6 +257,8 @@ def cmd_mi_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suites
+
     names = [args.suite] if args.suite else sorted(suites.SUITES)
     failed = False
     for name in names:

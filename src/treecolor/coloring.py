@@ -17,7 +17,7 @@ belongs to sign assignment s (see sign_order).
 from __future__ import annotations
 
 from functools import lru_cache, reduce as _reduce
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import (
     ImproperColoring,
@@ -29,7 +29,9 @@ from .errors import (
     ZeroRoot,
 )
 from .trees import Address, BinaryTree, _spans, leaves
-from .thompson import TreePair
+
+if TYPE_CHECKING:
+    from .thompson import TreePair
 
 Color = int
 ColorVector = tuple[Color, ...]

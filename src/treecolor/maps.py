@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import LengthMismatch, OutOfRange, TooLarge, TooSmall
 from .coloring import ColorVector, is_valid, normalized_colorings
-from .paths import signed_balance
 from .thompson import TreePair
 from .trees import (
     Address,
@@ -249,7 +248,8 @@ def check_count_size(n: int) -> None:
 
 
 def count_vertex_colorings(g, k: int) -> int:
-    """Exact number of proper vertex k-colorings (backtracking).
+    """Exact number of proper vertex k-colorings (backtracking up to
+    renaming the colors).
 
     g is a Triangulation or a networkx graph; parallel edges and loops add
     no constraint.
@@ -296,18 +296,24 @@ def _count_component(comp: list, adj: dict, k: int) -> int:
     back = [[pos[u] for u in adj[v] if pos[u] < i] for i, v in enumerate(order)]
     colors = [0] * len(order)
 
-    def rec(i: int) -> int:
+    # Colors are placed in order of first use: with m colors used so far, a
+    # vertex takes one of them or color m, which stands for each of the k - m
+    # unused colors, so one leaf with m colors counts k(k-1)...(k-m+1) colorings.
+    def rec(i: int, m: int) -> int:
         if i == len(order):
             return 1
         used = {colors[j] for j in back[i]}
         total = 0
-        for c in range(k):
+        for c in range(m):
             if c not in used:
                 colors[i] = c
-                total += rec(i + 1)
+                total += rec(i + 1, m)
+        if m < k:
+            colors[i] = m
+            total += (k - m) * rec(i + 1, m + 1)
         return total
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def closed_form(fam: str, n: int) -> int:
@@ -416,6 +422,8 @@ def edge_numbering_signs(g: nx.Graph, order: Sequence) -> list[bool]:
 
 
 def edge_numbering_balance(g: nx.Graph, order: Sequence) -> bool:
+    from .paths import signed_balance
+
     signs = edge_numbering_signs(g, order)
     edges = [(a, b, positive) for (a, b), positive in zip(order, signs)]
     return signed_balance(g.nodes, edges)[0]

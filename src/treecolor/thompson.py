@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import NotALeaf, PivotMissing
+from .errors import NotALeaf, NotAVertex, PivotMissing
 from .trees import (
     Address,
     BinaryTree,
@@ -127,6 +127,8 @@ def apply_element(p: TreePair, v: Address) -> Address:
         q = v[:k]
         if q in dl:
             return rl[dl.index(q)] + v[k:]
+    if v not in D.internal:  # no leaf above it and not internal: not a 0/1 word
+        raise NotAVertex(f"{format_address(v)} is not a vertex of {D.to_text()}")
     di = sorted(D.internal, key=_infix_key)
     ri = sorted(R.internal, key=_infix_key)
     return ri[di.index(v)]

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import treecolor
-from treecolor.cli import main
+from treecolor.cli import COUNTS_MAX_N, TREES_MAX_CARETS, main
 
 
 def run(capsys, *argv):
@@ -212,6 +212,11 @@ def test_domain_error_exit(capsys):
         (["map", "--chromatic", "W", "100000000"], "exact counter limited to 16 vertices"),
         (["map", "(..)", "(((..).).)"], "leaf counts differ: 2 != 4"),
         (["map", "--factor", "(..)", "(((..).).)"], "leaf counts differ: 2 != 4"),
+        (["map", "--chromatic", "W", "abc"], "--chromatic N must be an integer, got 'abc'"),
+        # size budgets: 16 carets would list 35M trees, and a count this large
+        # would pass Python's 4300-digit int-to-str limit
+        (["trees", "13"], f"trees limited to {TREES_MAX_CARETS} carets, got 13"),
+        (["counts", "--kind", "rigid", "--n", "100000"], f"counts limited to n <= {COUNTS_MAX_N}"),
     ],
 )
 def test_usage_errors_exit_2(argv, message):
@@ -273,3 +278,64 @@ def test_commands_leave_networkx_unloaded(argv):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+
+# ---------- modules loaded per command ----------
+
+ALL_MODULES = {
+    name.removesuffix(".py")
+    for name in os.listdir(os.path.dirname(treecolor.__file__))
+    if name.endswith(".py") and name != "__init__.py"
+}
+# the treecolor modules each command runs, besides cli and errors
+MODULES_RUN = {
+    "trees": {"trees"},
+    "color": {"coloring", "trees"},
+    "path": {"thompson", "trees"},
+    "sigma": {"paths", "coloring", "thompson", "trees"},
+    "graph": {"assoc", "coloring", "trees"},
+    "map": {"maps", "coloring", "thompson", "trees"},
+    "mi-search": {"enumeration", "coloring", "thompson", "trees"},
+    "counts": {"enumeration", "coloring", "thompson", "trees"},
+    "verify": ALL_MODULES,
+}
+
+
+def _pinned_argv() -> list[list[str]]:
+    """The commands of the benchmark's cli-mix workload."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "cli_expected.json"), encoding="utf-8") as f:
+        return [c["argv"] for c in json.load(f)["commands"]]
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The treecolor submodules, and json, loaded after running code in a
+    fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(treecolor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code += (
+        "\nimport sys\n"
+        "print(*(m for m in sys.modules if m.startswith('treecolor.') or m == 'json'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return {m.removeprefix("treecolor.") for m in out.stdout.split()}
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_modules("import treecolor") == set()
+    assert _loaded_modules("import treecolor.cli") == {"cli", "errors"}
+
+
+@pytest.mark.parametrize("argv", _pinned_argv(), ids=" ".join)
+def test_commands_load_only_the_modules_they_run(argv):
+    code = (
+        "import contextlib, io\n"
+        "from treecolor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+    )
+    json_module = {"json"} if "--json" in argv else set()
+    assert _loaded_modules(code) == MODULES_RUN[argv[0]] | {"cli", "errors"} | json_module

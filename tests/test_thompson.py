@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from treecolor.errors import NotALeaf, PivotMissing
+from treecolor.errors import NotALeaf, NotAVertex, PivotMissing
 from treecolor.thompson import (
     IDENTITY,
     RotationSymbol,
@@ -116,6 +116,13 @@ def test_apply_element_preserves_order():
     # internal vertices map by infix position
     assert apply_element(p, "00") == ""
     assert apply_element(p, "") == "1"
+
+
+def test_apply_element_rejects_non_vertex():
+    p = word_to_pair(parse_word("0 e"))
+    for v in ("2", "0x"):  # no leaf of D above it, and not internal
+        with pytest.raises(NotAVertex, match=f"{v} is not a vertex of"):
+            apply_element(p, v)
 
 
 # ---------- paths ----------
