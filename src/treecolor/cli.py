@@ -271,6 +271,9 @@ def cmd_verify(args) -> int:
         except AssertionError as e:
             print(f"{name}: FAIL ({e})")
             failed = True
+        except Exception as e:  # a suite that crashes fails; the others still run
+            print(f"{name}: FAIL ({type(e).__name__}: {e})")
+            failed = True
     return 1 if failed else 0
 
 

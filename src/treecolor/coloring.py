@@ -28,7 +28,7 @@ from .errors import (
     ZeroEntry,
     ZeroRoot,
 )
-from .trees import Address, BinaryTree, _spans, leaves
+from .trees import PLANE_MAX_CARETS, Address, BinaryTree, _spans, leaves
 
 if TYPE_CHECKING:
     from .thompson import TreePair
@@ -205,11 +205,6 @@ def sign_order(T: BinaryTree) -> list[Address]:
     (positive topmost sign) are the ints below 2^(n-1).
     """
     return sorted(T.internal, key=lambda v: (v == "", v))
-
-
-# A plane holds one bit per normalized sign assignment, 2^(n-1) bits for n
-# carets; beyond this many carets the planes (and the colorings) are too big.
-PLANE_MAX_CARETS = 20
 
 
 @lru_cache(maxsize=None)

@@ -44,6 +44,8 @@ def recurrence(spec: RecurrenceSpec, n: int) -> int:
 
 
 def jacobsthal(n: int) -> int:
+    if n < 0:
+        raise TooSmall("index must be >= 0")
     return (2**n - (-1) ** n) // 3
 
 

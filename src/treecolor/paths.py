@@ -17,8 +17,8 @@ from .coloring import (
     sign_order,
     vectors_from_sign_bits,
 )
-from .thompson import RotationSymbol, TreePair, Word, path_evaluate, word_to_pair
-from .trees import Address, BinaryTree, format_address, rotate, rotation_action
+from .thompson import RotationSymbol, TreePair, Word, word_to_pair
+from .trees import Address, BinaryTree, format_address, rotate, rotation_action, rotation_step
 
 
 class SignedTree(NamedTuple):
@@ -81,19 +81,19 @@ def sign_structure(w: Word) -> SignStructure:
     first, by the inverse vertex action.  The edge is positive iff the
     endpoint degrees so far sum to an even number.
     """
+    back = [(t.u, not t.inverse) for t in w]  # each symbol's inverse
     edges = []
-    degree: dict[Address, int] = {}
+    degree: dict[Address, int] = {}  # over every endpoint so far
     for i, s in enumerate(w):
         a, b = s.pivots
-        for t in reversed(w[:i]):
-            a = rotation_action(t.u, not t.inverse, a)
-            b = rotation_action(t.u, not t.inverse, b)
-        positive = (degree.get(a, 0) + degree.get(b, 0)) % 2 == 0
-        edges.append((a, b, positive))
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    closure = {a[:k] for a, _, _ in edges for k in range(len(a) + 1)}
-    closure |= {b[:k] for _, b, _ in edges for k in range(len(b) + 1)}
+        for u, inverse in reversed(back[:i]):
+            a = rotation_action(u, inverse, a)
+            b = rotation_action(u, inverse, b)
+        da, db = degree.get(a, 0), degree.get(b, 0)
+        edges.append((a, b, (da + db) % 2 == 0))
+        degree[a] = da + 1
+        degree[b] = db + 1
+    closure = {v[:k] for v in degree for k in range(len(v) + 1)}
     return SignStructure(tuple(edges), BinaryTree(closure))
 
 
@@ -151,20 +151,27 @@ def compatible_colorings(w: Word, D: BinaryTree) -> list[ColorVector]:
 
     This is the brute-force oracle for the balance theorem, so it never
     consults sign_structure or is_balanced: it tries all 2^(n-1) normalized
-    sign assignments of D.  The path is walked once, following each internal
-    vertex of D to its current address; a step is the bitmask m of the slots
-    (positions in sign_order(D)) of its two pivots.  A rotation is valid iff
-    its pivots carry equal signs, and it flips both, so an assignment passes
-    the step iff bits & m is 0 or m, and continues as bits ^ m.
+    sign assignments of D.  The path is walked once through the cached
+    rotation steps, following each internal vertex of D to its current
+    address; a missing pivot raises PivotMissing with path_evaluate's
+    message before any assignment is tried.  A step is the bitmask m of the
+    slots (positions in sign_order(D)) of its two pivots.  A rotation is
+    valid iff its pivots carry equal signs, and it flips both, so an
+    assignment passes the step iff bits & m is 0 or m, and continues as
+    bits ^ m.
     """
-    path_evaluate(D, w)  # raise early if the path leaves the skeleton
     order = sign_order(D)
     slot = {v: i for i, v in enumerate(order)}
     steps = []
-    for s in w:
+    T = D
+    for i, s in enumerate(w):
+        try:
+            T, moves = rotation_step(T, s.u, s.inverse)
+        except PivotMissing as e:
+            raise PivotMissing(f"symbol {i} ({s}): {e}") from None
         a, b = s.pivots
         steps.append(1 << slot[a] | 1 << slot[b])
-        slot = {rotation_action(s.u, s.inverse, v): i for v, i in slot.items()}
+        slot = {moves[v]: j for v, j in slot.items()}
     survivors = []
     for start in range(1 << max(len(order) - 1, 0)):  # the root's bit stays 0
         bits = start

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import NotALeaf, NotAVertex, PivotMissing
+from .errors import LengthMismatch, NotALeaf, NotAVertex, PivotMissing
 from .trees import (
     Address,
     BinaryTree,
@@ -20,9 +20,36 @@ from .trees import (
 )
 
 
-class RotationSymbol(NamedTuple):
+class _Symbol(NamedTuple):
     u: Address
     inverse: bool = False
+
+
+# Distinct symbols kept for sharing.  Every symbol that applies to a tree of
+# at most 12 carets fits: its pivot u has length at most 10, which leaves
+# 2^11 - 1 pivots in each direction.  Past the cap a new value is made as a
+# fresh, equal symbol, so the table cannot grow without bound.
+SYMBOL_TABLE_MAX = 1 << 12
+_SYMBOLS: dict = {}
+
+
+class RotationSymbol(_Symbol):
+    """A rotation at pivot u, inverse or not.
+
+    Equal symbols are one shared object (up to SYMBOL_TABLE_MAX values):
+    a sweep's words are many tuples over a few dozen symbols.  Only bool
+    flags are shared, so RotationSymbol(u, 1) keeps its int flag.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: Address, inverse: bool = False):
+        s = _SYMBOLS.get((u, inverse))
+        if s is None or s.inverse is not inverse:
+            s = tuple.__new__(cls, (u, inverse))
+            if (inverse is True or inverse is False) and len(_SYMBOLS) < SYMBOL_TABLE_MAX:
+                _SYMBOLS[s] = s
+        return s
 
     def opposite(self) -> "RotationSymbol":
         return RotationSymbol(self.u, not self.inverse)
@@ -121,6 +148,8 @@ def _infix_key(v: Address):
 def apply_element(p: TreePair, v: Address) -> Address:
     """The total action of the pair on vertex addresses of the standard model."""
     D, R = p
+    if D.leaf_count != R.leaf_count:
+        raise LengthMismatch(f"leaf counts differ: {D.leaf_count} != {R.leaf_count}")
     dl = leaves(D)
     rl = leaves(R)
     for k in range(len(v) + 1):

@@ -9,7 +9,8 @@ prefix-closed.  Leaves are derived.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     NotAVertex,
@@ -248,7 +249,20 @@ def tree_from_shadow_pattern(p: Iterable[tuple[int, int]], n: int) -> BinaryTree
 # ---------- Rotations ----------
 
 
-def rotation_action(u: Address, inverse: bool, v: Address) -> Address:
+# A colouring plane holds one bit per normalized sign assignment, 2^(n-1) bits
+# for n carets; beyond this many carets the planes (and the colorings) are too
+# big, so no sweep walks such a tree and its rotation steps are not cached.
+PLANE_MAX_CARETS = 20
+
+# Entries kept by the rotation caches.  Every criterion-05 word (at most 5
+# carets, length 6) walks 222 distinct steps and pulls back 258 distinct
+# vertices; the bounds leave room for larger sweeps and cap the memory of
+# path searches that rotate thousands of trees once each.
+ROTATION_STEP_CACHE = 1024
+ROTATION_ACTION_CACHE = 4096
+
+
+def _rotation_action(u: Address, inverse: bool, v: Address) -> Address:
     """Where the rotation at u sends the vertex v of the standard model."""
     if not inverse:
         if v == u:
@@ -280,14 +294,43 @@ def rotation_action(u: Address, inverse: bool, v: Address) -> Address:
         return v
 
 
-def rotate(T: BinaryTree, u: Address, inverse: bool = False) -> BinaryTree:
-    """Apply the rotation with pivot u (inverse: opposite direction)."""
+rotation_action = functools.lru_cache(maxsize=ROTATION_ACTION_CACHE)(_rotation_action)
+
+
+Step = tuple[BinaryTree, Mapping[Address, Address]]
+
+
+def _rotation_step(T: BinaryTree, u: Address, inverse: bool) -> Step:
     pivot2 = u + ("1" if inverse else "0")
     if u not in T.internal or pivot2 not in T.internal:
         raise PivotMissing(
             f"pivots {format_address(u)},{format_address(pivot2)} not internal in {T.to_text()}"
         )
-    return BinaryTree(rotation_action(u, inverse, v) for v in T.internal)
+    moves = {v: _rotation_action(u, inverse, v) for v in T.internal}
+    return BinaryTree(moves.values()), MappingProxyType(moves)
+
+
+_cached_rotation_step = functools.lru_cache(maxsize=ROTATION_STEP_CACHE)(_rotation_step)
+
+
+def rotation_step(T: BinaryTree, u: Address, inverse: bool = False) -> Step:
+    """The rotation with pivot u applied to T, and a read-only map of where
+    it sends each internal vertex of T.
+
+    Steps of trees with at most PLANE_MAX_CARETS carets are cached, so a
+    sweep that walks the same edge of the associahedron again reads it back.
+    """
+    if len(T.internal) <= PLANE_MAX_CARETS:
+        return _cached_rotation_step(T, u, inverse)
+    return _rotation_step(T, u, inverse)
+
+
+rotation_step.cache_info = _cached_rotation_step.cache_info
+
+
+def rotate(T: BinaryTree, u: Address, inverse: bool = False) -> BinaryTree:
+    """Apply the rotation with pivot u (inverse: opposite direction)."""
+    return rotation_step(T, u, inverse)[0]
 
 
 # ---------- The rotation skeleton ----------

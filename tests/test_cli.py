@@ -3,12 +3,15 @@ and determinism."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treecolor
 from treecolor.cli import COUNTS_MAX_N, TREES_MAX_CARETS, main
@@ -194,6 +197,17 @@ def test_verify_unknown_suite(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 2
 
 
+def test_verify_reports_a_crashing_suite(capsys, monkeypatch):
+    from treecolor import suites
+
+    def crash():
+        raise RuntimeError("no such tree")
+
+    monkeypatch.setattr(suites, "SUITES", {"a": crash, "b": lambda: "fine"})
+    assert run(capsys, "verify") == (1, "a: FAIL (RuntimeError: no such tree)\nb: ok (fine)\n")
+    assert run(capsys, "verify", "--suite", "a") == (1, "a: FAIL (RuntimeError: no such tree)\n")
+
+
 # ---------- errors and determinism ----------
 
 
@@ -217,6 +231,7 @@ def test_domain_error_exit(capsys):
         # would pass Python's 4300-digit int-to-str limit
         (["trees", "13"], f"trees limited to {TREES_MAX_CARETS} carets, got 13"),
         (["counts", "--kind", "rigid", "--n", "100000"], f"counts limited to n <= {COUNTS_MAX_N}"),
+        (["counts", "--kind", "jacobsthal", "--n", "-1"], "index must be >= 0"),
     ],
 )
 def test_usage_errors_exit_2(argv, message):
@@ -339,3 +354,104 @@ def test_commands_load_only_the_modules_they_run(argv):
     )
     json_module = {"json"} if "--json" in argv else set()
     assert _loaded_modules(code) == MODULES_RUN[argv[0]] | {"cli", "errors"} | json_module
+
+
+# ---------- fuzzing the command line ----------
+
+# small arguments only, so that every drawn command runs in milliseconds
+ints_st = st.integers(-2, 6).map(str)
+trees_st = st.sampled_from(
+    [".", "(..)", "((..).)", "(.(..))", "((..)(..))", "(((..).).)", "(.((..).))", "(..", "x", ""]
+)
+words_st = st.lists(
+    st.sampled_from(["e", "~e", "0", "~0", "1", "~1", "00", "~01", "11", "2", "~"]), max_size=4
+).map(" ".join)
+vectors_st = st.text(alphabet="01234", max_size=7)
+families_st = st.sampled_from(["W", "Theta", "Xi", "Y", "Nabla", "Q"])
+json_st = st.sampled_from([[], ["--json"]])
+
+
+def _command(name, *parts):
+    """argv for one command: its name, then each drawn part's tokens."""
+    return st.tuples(*parts).map(lambda t: [name] + [x for part in t for x in part])
+
+
+def _one(x):
+    return [x]
+
+
+def _flag(flag, values):
+    return values.map(lambda v: [flag, *v] if isinstance(v, tuple) else [flag, v])
+
+
+FLAGS = ["--json", "--n", "--kind", "--start", "--tree", "--pair", "--factor", "--square", "--dot"]
+nothing = st.just([])
+tree_pair_st = st.tuples(trees_st, trees_st)
+
+argv_st = st.one_of(
+    _command(
+        "trees",
+        st.one_of(nothing, ints_st.map(_one)),
+        st.one_of(nothing, _flag("--inspect", trees_st)),
+        json_st,
+    ),
+    _command(
+        "color",
+        vectors_st.map(_one),
+        st.one_of(nothing, _flag("--tree", trees_st), _flag("--pair", tree_pair_st)),
+        json_st,
+    ),
+    _command(
+        "path",
+        words_st.map(_one),
+        st.one_of(
+            nothing,
+            _flag("--start", trees_st),
+            _flag("--find", tree_pair_st),
+            _flag("--square", ints_st),
+            _flag("--pentagon", ints_st),
+        ),
+        json_st,
+    ),
+    _command("sigma", words_st.map(_one), st.sampled_from([[], ["--dot"], ["--json"]])),
+    _command(
+        "graph",
+        vectors_st.map(_one),
+        st.sampled_from([[], ["--zero-set"], ["--dot"], ["--json"], ["--zero-set", "--json"]]),
+    ),
+    _command(
+        "map",
+        st.lists(trees_st, max_size=3),
+        st.sampled_from([[], ["--factor"]]),
+        st.one_of(nothing, _flag("--chromatic", st.tuples(families_st, ints_st | st.just("abc")))),
+        json_st,
+    ),
+    _command(
+        "counts",
+        _flag("--kind", st.sampled_from(["acceptable", "rigid", "flexible", "jacobsthal", "other"])),
+        _flag("--n", ints_st),
+        json_st,
+    ),
+    _command("mi-search", _flag("--n", ints_st), st.sampled_from([[], ["--csv"], ["--json"]])),
+    _command("verify", st.sampled_from([["--suite", "nope"], ["--suite"], ["extra"]])),
+    # argument soup: any mix of the flags and values above after a name
+    st.tuples(
+        st.sampled_from(["trees", "color", "path", "sigma", "graph", "map", "counts", "mi-search", "x"]),
+        st.lists(ints_st | trees_st | words_st | vectors_st | st.sampled_from(FLAGS), max_size=5),
+    ).map(lambda t: [t[0], *t[1]]),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv_st)
+def test_cli_fuzz_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            assert e.code == 2, (argv, err.getvalue())
+            return
+    assert code in (0, 1, 2), argv
+    if code == 2:  # a usage error says why
+        assert err.getvalue(), argv

@@ -41,6 +41,9 @@ def test_jacobsthal_matches_recurrence():
 def test_recurrence_guard():
     with pytest.raises(TooSmall):
         recurrence(JACOBSTHAL, -1)
+    for n in (-1, -2, -7):  # the closed form would give 0.0, 1.0, ...
+        with pytest.raises(TooSmall, match="index must be >= 0"):
+            jacobsthal(n)
     with pytest.raises(TooSmall):
         count_rigid(0)
 

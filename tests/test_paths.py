@@ -273,6 +273,22 @@ def test_compatible_colorings_leaving_the_skeleton():
     assert str(new.value) == "symbol 1 (1): pivots 1,10 not internal in ((..).)"
 
 
+def test_compatible_colorings_leave_the_skeleton_like_path_evaluate():
+    symbols = [RotationSymbol(u, inv) for u in ("", "0", "1", "00") for inv in (False, True)]
+    words = [(a, b) for a in symbols for b in symbols]
+    raised = 0
+    for T in [T for n in range(1, 4) for T in all_trees(n)]:
+        for w in words:
+            try:
+                path_evaluate(T, w)
+            except PivotMissing as e:
+                with pytest.raises(PivotMissing) as got:
+                    compatible_colorings(w, T)
+                assert str(got.value) == str(e)
+                raised += 1
+    assert raised > 400
+
+
 def test_compatible_colorings_independent_of_sign_structure(monkeypatch):
     cases = compatible_coloring_cases()[::20]
     want = [compatible_colorings_by_walk(w, T) for w, T in cases]

@@ -3,10 +3,13 @@ addresses, rotation words and the structural predicates."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from treecolor.errors import NotALeaf, NotAVertex, PivotMissing
+from treecolor import thompson
+from treecolor.errors import LengthMismatch, NotALeaf, NotAVertex, PivotMissing
 from treecolor.thompson import (
     IDENTITY,
     RotationSymbol,
@@ -30,6 +33,8 @@ from treecolor.thompson import (
     word_to_pair,
 )
 from treecolor.trees import TRIVIAL, BinaryTree, all_trees, left_vine, right_vine
+
+from test_acceptance import all_edge_paths
 
 symbols_st = st.tuples(
     st.sampled_from(["", "0", "1", "00", "01", "10", "11"]),
@@ -57,6 +62,57 @@ def test_symbol_opposite_and_pivots():
     assert s.opposite() == RotationSymbol("0", True)
     assert s.pivots == ("0", "00")
     assert s.opposite().pivots == ("0", "01")
+
+
+def test_equal_symbols_are_one_object():
+    assert parse_symbol("~01") is RotationSymbol("01", True)
+    assert parse_symbol("e") is RotationSymbol("")
+    s = RotationSymbol("10", False)
+    assert s.opposite().opposite() is s
+    assert parse_word("0 e ~1 0")[0] is parse_word("0")[0]
+    assert pickle.loads(pickle.dumps(s)) is s
+
+
+def test_edge_path_words_share_their_symbols():
+    words = all_edge_paths(4, 5)
+    by_value = {}
+    for w in words:
+        for s in w:
+            assert by_value.setdefault(tuple(s), s) is s, format_word(w)
+    assert len(by_value) < 40 < len(words)
+
+
+def test_symbols_behave_as_named_tuples():
+    s = RotationSymbol("01", True)
+    assert repr(s) == "RotationSymbol(u='01', inverse=True)"
+    assert str(s) == "~01" and str(RotationSymbol("")) == "e"
+    assert s == ("01", True) and hash(s) == hash(("01", True))
+    assert RotationSymbol._fields == ("u", "inverse")
+    assert RotationSymbol("0") == RotationSymbol("0", False)
+    assert not hasattr(s, "__dict__")
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        t = pickle.loads(pickle.dumps(s, proto))
+        assert t == s and type(t) is RotationSymbol
+    r = s._replace(inverse=False)
+    assert r == RotationSymbol("01") and type(r) is RotationSymbol
+    assert s._replace(u="1").pivots == ("1", "11")
+    # only bool flags are shared: an int flag keeps its own value
+    a = RotationSymbol("0110", True)
+    assert repr(RotationSymbol("0110", 1)) == "RotationSymbol(u='0110', inverse=1)"
+    assert RotationSymbol("0110", True) is a
+
+
+def test_symbol_table_cap(monkeypatch):
+    monkeypatch.setattr(thompson, "SYMBOL_TABLE_MAX", 2)
+    monkeypatch.setattr(thompson, "_SYMBOLS", {})
+    first = [RotationSymbol(u, inv) for u in ("", "0", "1", "10") for inv in (False, True)]
+    again = [RotationSymbol(u, inv) for u in ("", "0", "1", "10") for inv in (False, True)]
+    assert len(thompson._SYMBOLS) == 2
+    assert first == again and len(set(first + again)) == 8
+    assert [a is b for a, b in zip(first, again)] == [True, True] + [False] * 6
+    assert [hash(a) for a in first] == [hash(b) for b in again]
+    assert format_word(tuple(again)) == "e ~e 0 ~0 1 ~1 10 ~10"
+    assert again[7].opposite() == first[6] and again[7].pivots == ("10", "101")
 
 
 # ---------- reduction ----------
@@ -116,6 +172,13 @@ def test_apply_element_preserves_order():
     # internal vertices map by infix position
     assert apply_element(p, "00") == ""
     assert apply_element(p, "") == "1"
+
+
+def test_apply_element_rejects_unequal_leaf_counts():
+    p = TreePair(BinaryTree.from_text("((..).)"), BinaryTree.from_text("(..)"))
+    for v in ("0", "1", "00", ""):  # internal, leaf, deeper and root vertices
+        with pytest.raises(LengthMismatch, match=r"^leaf counts differ: 3 != 2$"):
+            apply_element(p, v)
 
 
 def test_apply_element_rejects_non_vertex():

@@ -33,8 +33,11 @@ from treecolor.trees import (
     parse_address,
     projection,
     right_vine,
+    ROTATION_ACTION_CACHE,
+    ROTATION_STEP_CACHE,
     rotate,
     rotation_action,
+    rotation_step,
     shadow_interval,
     shadow_pattern,
     subtree_at,
@@ -175,6 +178,69 @@ def test_rotate_missing_pivot():
         rotate(right_vine(2), "")  # needs internal "0"
     with pytest.raises(PivotMissing):
         rotate(left_vine(2), "", inverse=True)
+
+
+# the rotation by its definition, uncached: where each part of the tree moves
+MOVES = {False: (("00", "0"), ("01", "10"), ("1", "11")), True: (("11", "1"), ("10", "01"), ("0", "00"))}
+
+
+def ref_rotation_step(T, u, inverse):
+    pivot2 = u + ("1" if inverse else "0")
+    if u not in T.internal or pivot2 not in T.internal:
+        raise PivotMissing(
+            f"pivots {format_address(u)},{format_address(pivot2)} not internal in {T.to_text()}"
+        )
+
+    def image(v):
+        if v == u:
+            return u + ("0" if inverse else "1")
+        if v == pivot2:
+            return u
+        for old, new in MOVES[inverse]:
+            if v.startswith(u + old):
+                return u + new + v[len(u + old):]
+        return v
+
+    moves = {v: image(v) for v in T.internal}
+    return BinaryTree(moves.values()), moves
+
+
+def test_rotation_step_matches_reference():
+    for n in range(7):
+        for T in all_trees(n):
+            for u in sorted(T.internal) + leaves(T) + ["0" * (n + 1)]:
+                for inverse in (False, True):
+                    try:
+                        want = ref_rotation_step(T, u, inverse)
+                    except PivotMissing as e:
+                        for fn in (rotation_step, rotate):
+                            with pytest.raises(PivotMissing) as got:
+                                fn(T, u, inverse)
+                            assert str(got.value) == str(e)
+                        continue
+                    assert rotation_step(T, u, inverse) == want
+                    assert rotate(T, u, inverse) == want[0]
+
+
+def test_rotation_steps_are_cached_up_to_a_bound():
+    T = BinaryTree.from_text("((.(..))(..))")
+    first = rotation_step(T, "", False)
+    assert rotation_step(BinaryTree.from_text(T.to_text()), "", False) is first
+    assert rotation_step(T, "", True) is not first
+    with pytest.raises(TypeError):  # every caller shares the cached map
+        first[1][""] = "0"
+    assert rotation_step.cache_info().maxsize == ROTATION_STEP_CACHE
+    assert rotation_action.cache_info().maxsize == ROTATION_ACTION_CACHE
+
+
+def test_deep_vine_rotates_without_filling_the_caches():
+    T = left_vine(1500)
+    before = rotation_step.cache_info().currsize, rotation_action.cache_info().currsize
+    S, moves = rotation_step(T, "")
+    assert (S, moves) == ref_rotation_step(T, "", False)
+    assert rotate(S, "", True) == T
+    assert S.carets == 1500 and S.internal >= {"", "1"}
+    assert (rotation_step.cache_info().currsize, rotation_action.cache_info().currsize) == before
 
 
 @given(trees_st)
