@@ -4,7 +4,6 @@ and positive neighborhoods."""
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import NamedTuple, Sequence
 
@@ -25,22 +24,12 @@ from .coloring import (
 )
 from .trees import BinaryTree, Skeleton, interval_mask, is_vine, skeleton
 
-DEFAULT_MAX_D = 9
-
-
-def max_dimension() -> int:
-    raw = os.environ.get("ASSOC_COLOR_MAX_D")
-    if raw is None:
-        return DEFAULT_MAX_D
-    return int(raw)
+MAX_DIMENSION = 9  # a vector of dimension 9 has 11 entries; its graph scans 16,796 trees
 
 
 def _check_dimension(d: int) -> None:
-    if d > max_dimension():
-        raise DimensionTooLarge(
-            f"dimension {d} exceeds bound {max_dimension()} "
-            "(raise ASSOC_COLOR_MAX_D to override)"
-        )
+    if d > MAX_DIMENSION:
+        raise DimensionTooLarge(f"dimension {d} exceeds bound {MAX_DIMENSION}")
 
 
 class ColorGraph(NamedTuple):

@@ -122,7 +122,6 @@ def cmd_path(args) -> int:
         w2 = paths.pentagon_move(w, args.pentagon)
         _out(args, {"word": thompson.format_word(w2)}, thompson.format_word(w2))
         return 0
-    p = thompson.word_to_pair(w)
     if args.start:
         seq = thompson.path_evaluate(_tree(args.start), w)
         _out(
@@ -131,6 +130,7 @@ def cmd_path(args) -> int:
             "\n".join(t.to_text() for t in seq),
         )
         return 0
+    p = thompson.word_to_pair(w)
     _out(args, {"pair": [p.d.to_text(), p.r.to_text()]}, str(p))
     return 0
 

@@ -27,7 +27,6 @@ class RecurrenceSpec(NamedTuple):
     b: int  # t(1)
 
 
-JACOBSTHAL = RecurrenceSpec(1, 2, 0, 0, 1)
 ACCEPTABLE = RecurrenceSpec(2, 3, 1, 0, 1)  # c(n), counts mod color symmetry
 RIGID_SHIFTED = RecurrenceSpec(1, 2, 1, 1, 2)  # t(n) = r(n+1)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple
 
-from .errors import NoMatch, OutOfRange, PivotMissing
+from .errors import LengthMismatch, NoMatch, OutOfRange
 from .coloring import (
     ColorVector,
     FLEXIBLE,
@@ -17,7 +17,7 @@ from .coloring import (
     sign_order,
     vectors_from_sign_bits,
 )
-from .thompson import RotationSymbol, TreePair, Word, word_to_pair
+from .thompson import RotationSymbol, TreePair, Word, path_steps, word_to_pair
 from .trees import Address, BinaryTree, format_address, rotate, rotation_action, rotation_step
 
 
@@ -31,16 +31,8 @@ class SignedTree(NamedTuple):
         return f"{self.tree.to_text()} [{body}]"
 
 
-def _check_pivots(T: BinaryTree, s: RotationSymbol) -> None:
-    a, b = s.pivots
-    if a not in T.internal or b not in T.internal:
-        raise PivotMissing(
-            f"pivots {format_address(a)},{format_address(b)} not internal in {T.to_text()}"
-        )
-
-
 def is_signed_rotation_valid(st: SignedTree, s: RotationSymbol) -> bool:
-    _check_pivots(st.tree, s)
+    rotation_step(st.tree, s.u, s.inverse)  # raises PivotMissing
     a, b = s.pivots
     return st.signs[a] == st.signs[b]
 
@@ -50,13 +42,11 @@ def apply_signed_rotation(st: SignedTree, s: RotationSymbol) -> SignedTree:
 
     Defined whether or not the rotation is valid for the signs.
     """
-    _check_pivots(st.tree, s)
-    moved = {
-        rotation_action(s.u, s.inverse, v): sgn for v, sgn in st.signs.items()
-    }
+    T, moves = rotation_step(st.tree, s.u, s.inverse)
+    moved = {moves[v]: sgn for v, sgn in st.signs.items()}
     for v in s.opposite().pivots:
         moved[v] = not moved[v]
-    return SignedTree(rotate(st.tree, s.u, s.inverse), moved)
+    return SignedTree(T, moved)
 
 
 # ---------- The sign structure of a word ----------
@@ -98,41 +88,37 @@ def sign_structure(w: Word) -> SignStructure:
 
 
 def signed_balance(nodes: Iterable, edges: Iterable[tuple]) -> tuple[bool, int]:
-    """Union-find with parity over signed edges (a, b, positive).
+    """Whether every cycle of the signed edges (a, b, positive) carries an
+    even number of negative edges, and the number of components over the
+    nodes.
 
-    Returns whether every cycle carries an even number of negative edges,
-    and the number of components over the nodes.  find is iterative, so a
-    deep union chain cannot exhaust the recursion limit.
+    By Harary's balance theorem that holds iff the nodes split into two
+    sides with each negative edge between them and each positive edge
+    within one.  A breadth-first search puts each node on a side and checks
+    every edge; it is a loop, so a deep chain needs no recursion.
     """
-    parent = {v: v for v in nodes}
-    parity = {v: 0 for v in nodes}  # sign relative to the parent
-
-    def find(v):
-        root, p = v, 0
-        while parent[root] != root:
-            p ^= parity[root]
-            root = parent[root]
-        found = p
-        # hang the whole path on the root, each vertex with its sign to it
-        while v != root:
-            up, step = parent[v], parity[v]
-            parent[v], parity[v] = root, p
-            v, p = up, p ^ step
-        return root, found
-
-    balanced = True
+    adjacent: dict = {v: [] for v in nodes}
     for a, b, positive in edges:
-        need = 0 if positive else 1
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            if pa ^ pb != need:
-                balanced = False
-        else:
-            parent[ra] = rb
-            parity[ra] = pa ^ pb ^ need
-    roots = {find(v)[0] for v in parent}
-    return balanced, len(roots)
+        adjacent[a].append((b, not positive))
+        adjacent[b].append((a, not positive))
+    side: dict = {}
+    balanced = True
+    components = 0
+    for root in adjacent:
+        if root in side:
+            continue
+        components += 1
+        side[root] = False
+        queue = [root]
+        for v in queue:  # grows while read: breadth-first order
+            for x, cross in adjacent[v]:
+                want = side[v] ^ cross
+                if x not in side:
+                    side[x] = want
+                    queue.append(x)
+                elif side[x] != want:
+                    balanced = False
+    return balanced, components
 
 
 def is_balanced(ss: SignStructure) -> tuple[bool, int]:
@@ -151,24 +137,18 @@ def compatible_colorings(w: Word, D: BinaryTree) -> list[ColorVector]:
 
     This is the brute-force oracle for the balance theorem, so it never
     consults sign_structure or is_balanced: it tries all 2^(n-1) normalized
-    sign assignments of D.  The path is walked once through the cached
-    rotation steps, following each internal vertex of D to its current
-    address; a missing pivot raises PivotMissing with path_evaluate's
-    message before any assignment is tried.  A step is the bitmask m of the
-    slots (positions in sign_order(D)) of its two pivots.  A rotation is
-    valid iff its pivots carry equal signs, and it flips both, so an
-    assignment passes the step iff bits & m is 0 or m, and continues as
-    bits ^ m.
+    sign assignments of D.  The path is walked once through path_steps,
+    following each internal vertex of D to its current address, so a
+    missing pivot raises PivotMissing before any assignment is tried.  A
+    step is the bitmask m of the slots (positions in sign_order(D)) of its
+    two pivots.  A rotation is valid iff its pivots carry equal signs, and
+    it flips both, so an assignment passes the step iff bits & m is 0 or m,
+    and continues as bits ^ m.
     """
     order = sign_order(D)
     slot = {v: i for i, v in enumerate(order)}
     steps = []
-    T = D
-    for i, s in enumerate(w):
-        try:
-            T, moves = rotation_step(T, s.u, s.inverse)
-        except PivotMissing as e:
-            raise PivotMissing(f"symbol {i} ({s}): {e}") from None
+    for s, (_, moves) in zip(w, path_steps(D, w)):
         a, b = s.pivots
         steps.append(1 << slot[a] | 1 << slot[b])
         slot = {moves[v]: j for v, j in slot.items()}
@@ -205,7 +185,7 @@ def find_sign_consistent_path(D: BinaryTree, R: BinaryTree) -> Word | None:
     walks its color graph breadth-first; returns the first path found.
     """
     if D.leaf_count != R.leaf_count:
-        raise PivotMissing("trees must have equal leaf counts")
+        raise LengthMismatch(f"leaf counts differ: {D.leaf_count} != {R.leaf_count}")
     if D == R:
         return ()
     for c in colorings_of_pair(TreePair(D, R)):
@@ -264,41 +244,22 @@ def square_move(w: Word, i: int) -> Word:
     return _splice(w, i, 2, (t1, t2))
 
 
+def _pentagon(x: Address, inverse: bool) -> Word:
+    """The three stacked rotations that equal two rotations at x; the
+    inverse template is the forward one with 0 and 1 swapped below x."""
+    a, b = ("1", "0") if inverse else ("0", "1")
+    return tuple(RotationSymbol(v, inverse) for v in (x + a, x, x + b))
+
+
 def pentagon_move(w: Word, i: int) -> Word:
     """Rewrite across a pentagon face: three stacked rotations for two equal
     ones, or back."""
     if i < 0 or i >= len(w):
         raise OutOfRange(f"index {i} out of range")
-    if i + 3 <= len(w):
-        s1, s2, s3 = w[i: i + 3]
-        x = s2.u
-        if (s1, s2, s3) == (
-            RotationSymbol(x + "0", False),
-            RotationSymbol(x, False),
-            RotationSymbol(x + "1", False),
-        ):
-            return _splice(w, i, 3, (RotationSymbol(x), RotationSymbol(x)))
-        if (s1, s2, s3) == (
-            RotationSymbol(x + "1", True),
-            RotationSymbol(x, True),
-            RotationSymbol(x + "0", True),
-        ):
-            return _splice(w, i, 3, (RotationSymbol(x, True), RotationSymbol(x, True)))
+    if i + 3 <= len(w) and w[i: i + 3] == _pentagon(*w[i + 1]):
+        return _splice(w, i, 3, (w[i + 1],) * 2)
     if i + 2 <= len(w) and w[i] == w[i + 1]:
-        x, inv = w[i]
-        if inv:
-            repl = (
-                RotationSymbol(x + "1", True),
-                RotationSymbol(x, True),
-                RotationSymbol(x + "0", True),
-            )
-        else:
-            repl = (
-                RotationSymbol(x + "0", False),
-                RotationSymbol(x, False),
-                RotationSymbol(x + "1", False),
-            )
-        return _splice(w, i, 2, repl)
+        return _splice(w, i, 2, _pentagon(*w[i]))
     raise NoMatch(f"no pentagon template at index {i}")
 
 

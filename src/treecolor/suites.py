@@ -11,21 +11,21 @@ from . import assoc, coloring, enumeration, maps, paths, thompson, trees
 from .errors import PivotMissing
 
 
-def suite_catalan(max_n: int = 10) -> str:
+def suite_catalan() -> str:
     want = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
-    for n in range(min(max_n, 10) + 1):
+    for n, count in enumerate(want):
         got = len(trees.all_trees(n))
-        assert got == want[n], f"tree count at {n}: {got} != {want[n]}"
-    return f"tree counts match through n={min(max_n, 10)}"
+        assert got == count, f"tree count at {n}: {got} != {count}"
+    return "tree counts match through n=10"
 
 
-def suite_acceptability(max_len: int = 7) -> str:
-    cache = {n: trees.all_trees(n) for n in range(1, max_len)}
+def suite_acceptability() -> str:
     checked = 0
-    for L in range(2, max_len + 1):
+    for L in range(2, 8):
+        ts = trees.all_trees(L - 1)
         for c in product((1, 2, 3), repeat=L):
             acc = coloring.is_acceptable(c)
-            brute = any(coloring.is_valid(T, c) for T in cache.setdefault(L - 1, trees.all_trees(L - 1)))
+            brute = any(coloring.is_valid(T, c) for T in ts)
             assert acc == brute, f"acceptability mismatch at {c}"
             w = coloring.acceptable_witness(c)
             if acc:
@@ -33,12 +33,12 @@ def suite_acceptability(max_len: int = 7) -> str:
             else:
                 assert w is None
             checked += 1
-    return f"{checked} vectors checked to length {max_len}"
+    return f"{checked} vectors checked to length 7"
 
 
-def suite_trichotomy(max_len: int = 7) -> str:
+def suite_trichotomy() -> str:
     checked = 0
-    for L in range(2, max_len + 1):
+    for L in range(2, 8):
         for c in product((1, 2, 3), repeat=L):
             g = assoc.color_graph(c)
             cls = coloring.classify_vector(c)
@@ -55,7 +55,7 @@ def suite_trichotomy(max_len: int = 7) -> str:
                 rigid_here = _is_alternating(T, signs)
                 assert rigid_here == (cls != coloring.FLEXIBLE), (c, T.to_text())
             checked += 1
-    return f"{checked} acceptable vectors classified to length {max_len}"
+    return f"{checked} acceptable vectors classified to length 7"
 
 
 def _is_alternating(T: trees.BinaryTree, signs: dict) -> bool:
@@ -67,18 +67,18 @@ def _is_alternating(T: trees.BinaryTree, signs: dict) -> bool:
     )
 
 
-def suite_balance(max_symbols: int = 4, max_addr: int = 2, sample: int = 400) -> str:
+def suite_balance() -> str:
     """Balance of the sign structure matches brute-force sign existence and
     the compatible-coloring count is 2^(p-1), on sampled words."""
     import random
 
     rng = random.Random(7)
-    addrs = [""] + ["".join(bits) for L in range(1, max_addr + 1) for bits in product("01", repeat=L)]
+    addrs = [""] + ["".join(bits) for L in (1, 2) for bits in product("01", repeat=L)]
     syms = [thompson.RotationSymbol(a, i) for a in addrs for i in (False, True)]
     pool = [T for n in range(1, 6) for T in trees.all_trees(n)]
     checked = 0
-    for _ in range(sample):
-        w = tuple(rng.choice(syms) for _ in range(rng.randint(1, max_symbols)))
+    for _ in range(400):
+        w = tuple(rng.choice(syms) for _ in range(rng.randint(1, 4)))
         start = None
         for T in pool:
             try:
@@ -97,9 +97,9 @@ def suite_balance(max_symbols: int = 4, max_addr: int = 2, sample: int = 400) ->
     return f"{checked} sampled words verified"
 
 
-def suite_primality(max_carets: int = 5) -> str:
+def suite_primality() -> str:
     checked = 0
-    for n in range(1, max_carets + 1):
+    for n in range(1, 6):
         for d in trees.all_trees(n):
             for r in trees.all_trees(n):
                 p = thompson.TreePair(d, r)
@@ -110,9 +110,9 @@ def suite_primality(max_carets: int = 5) -> str:
     return f"{checked} pairs cross-checked"
 
 
-def suite_factor_law(max_carets: int = 5) -> str:
+def suite_factor_law() -> str:
     checked = 0
-    for n in range(2, max_carets + 1):
+    for n in range(2, 6):
         for d in trees.all_trees(n):
             for r in trees.all_trees(n):
                 p = thompson.reduce(thompson.TreePair(d, r))
@@ -129,26 +129,26 @@ def suite_factor_law(max_carets: int = 5) -> str:
     return f"{checked} reduced pairs obey the factor count law"
 
 
-def suite_counts(max_n: int = 8) -> str:
-    for n in range(1, max_n + 1):
+def suite_counts() -> str:
+    for n in range(1, 9):
         assert enumeration.count_acceptable(n) == enumeration.brute_acceptable(n), n
         assert enumeration.count_rigid(n) == enumeration.brute_rigid(n), n
     s = 0
     for n in range(1, 13):
         s += enumeration.jacobsthal(n)
         assert enumeration.count_rigid(n) == s, n
-    return f"recurrences match brute force to n={max_n}"
+    return "recurrences match brute force to n=8"
 
 
-def suite_chromatic(max_n: int = 10) -> str:
+def suite_chromatic() -> str:
     for fam, lo in [("W", 6), ("Theta", 6), ("Xi", 7), ("Y", 6), ("Nabla", 8)]:
-        for n in range(lo, max_n + 1):
+        for n in range(lo, 11):
             got = maps.count_vertex_colorings(maps.family(fam, n), 4)
             assert got == 24 * maps.closed_form(fam, n), (fam, n)
-    return f"five families verified to n={max_n}"
+    return "five families verified to n=10"
 
 
-def suite_prime_sigma(max_symbols: int = 5, sample: int = 600) -> str:
+def suite_prime_sigma() -> str:
     """If the path from the support tree ends at a prime pair, the sign
     structure is connected."""
     import random
@@ -157,8 +157,8 @@ def suite_prime_sigma(max_symbols: int = 5, sample: int = 600) -> str:
     addrs = ["", "0", "1", "00", "01", "10", "11"]
     syms = [thompson.RotationSymbol(a, i) for a in addrs for i in (False, True)]
     checked = 0
-    for _ in range(sample):
-        w = tuple(rng.choice(syms) for _ in range(rng.randint(2, max_symbols)))
+    for _ in range(600):
+        w = tuple(rng.choice(syms) for _ in range(rng.randint(2, 5)))
         ss = paths.sign_structure(w)
         T = ss.support
         if T.carets < 2:
@@ -174,9 +174,9 @@ def suite_prime_sigma(max_symbols: int = 5, sample: int = 600) -> str:
     return f"{checked} prime-endpoint words have connected structures"
 
 
-def suite_zero_sets(max_len: int = 7) -> str:
+def suite_zero_sets() -> str:
     checked = 0
-    for L in range(2, max_len + 1):
+    for L in range(2, 8):
         for c in product((1, 2, 3), repeat=L):
             z = coloring.zero_intervals(c)
             for a, b in z:
@@ -188,7 +188,7 @@ def suite_zero_sets(max_len: int = 7) -> str:
     return f"closure rules hold for {checked} vectors"
 
 
-SUITES: dict[str, Callable[..., str]] = {
+SUITES: dict[str, Callable[[], str]] = {
     "catalan": suite_catalan,
     "acceptability": suite_acceptability,
     "trichotomy": suite_trichotomy,

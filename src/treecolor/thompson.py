@@ -3,19 +3,20 @@ rotations as generators, words, and structural predicates."""
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LengthMismatch, NotALeaf, NotAVertex, PivotMissing
 from .trees import (
     Address,
     BinaryTree,
+    Step,
     TRIVIAL,
     format_address,
     join,
     leaves,
     parse_address,
     right_vine,
-    rotate,
+    rotation_step,
     subtree_at,
 )
 
@@ -178,16 +179,20 @@ def word_to_pair(w: Word) -> TreePair:
     return out
 
 
-def path_evaluate(T: BinaryTree, w: Word) -> list[BinaryTree]:
-    """Visited vertex sequence of the edge path starting at T."""
-    seq = [T]
+def path_steps(T: BinaryTree, w: Word) -> Iterator[Step]:
+    """The rotation steps of the edge path starting at T, one per symbol:
+    the next tree and where each internal vertex of the last one goes."""
     for i, s in enumerate(w):
         try:
-            T = rotate(T, s.u, s.inverse)
+            T, moves = rotation_step(T, s.u, s.inverse)
         except PivotMissing as e:
             raise PivotMissing(f"symbol {i} ({s}): {e}") from None
-        seq.append(T)
-    return seq
+        yield T, moves
+
+
+def path_evaluate(T: BinaryTree, w: Word) -> list[BinaryTree]:
+    """Visited vertex sequence of the edge path starting at T."""
+    return [T] + [t for t, _ in path_steps(T, w)]
 
 
 def classify_multiplication(p: TreePair, s: RotationSymbol) -> str:
@@ -196,7 +201,7 @@ def classify_multiplication(p: TreePair, s: RotationSymbol) -> str:
     Returns "NonIncreasing", "MinimallyIncreasing" or "Increasing" based on
     how much of the pivot vine is missing from p's range tree.
     """
-    x = s.u + ("1" if s.inverse else "0")
+    x = s.pivots[1]
     need = {x[:i] for i in range(len(x) + 1)}
     missing = need - p.r.internal
     if not missing:

@@ -76,9 +76,6 @@ class BinaryTree:
     def leaf_count(self) -> int:
         return len(self.internal) + 1
 
-    def is_leaf(self, v: Address) -> bool:
-        return v not in self.internal and (v == "" and not self.internal or bool(v) and v[:-1] in self.internal)
-
     def to_text(self) -> str:
         """Canonical parenthesized form: "." for the trivial tree, "(AB)" for a join."""
         out = []
@@ -263,35 +260,23 @@ ROTATION_ACTION_CACHE = 4096
 
 
 def _rotation_action(u: Address, inverse: bool, v: Address) -> Address:
-    """Where the rotation at u sends the vertex v of the standard model."""
-    if not inverse:
-        if v == u:
-            return u + "1"
-        if v == u + "0":
-            return u
-        rest = v[len(u):]
-        if v.startswith(u):
-            if rest.startswith("00"):
-                return u + "0" + rest[2:]
-            if rest.startswith("01"):
-                return u + "10" + rest[2:]
-            if rest.startswith("1"):
-                return u + "11" + rest[1:]
+    """Where the rotation at u sends the vertex v of the standard model.
+
+    The inverse rotation is the forward one with 0 and 1 swapped below u.
+    """
+    a, b = ("1", "0") if inverse else ("0", "1")
+    if not v.startswith(u):
         return v
-    else:
-        if v == u:
-            return u + "0"
-        if v == u + "1":
-            return u
-        rest = v[len(u):]
-        if v.startswith(u):
-            if rest.startswith("11"):
-                return u + "1" + rest[2:]
-            if rest.startswith("10"):
-                return u + "01" + rest[2:]
-            if rest.startswith("0"):
-                return u + "00" + rest[1:]
-        return v
+    rest = v[len(u):]
+    if not rest:
+        return u + b
+    if rest == a:
+        return u
+    if rest.startswith(a + a):
+        return u + a + rest[2:]
+    if rest.startswith(a + b):
+        return u + b + a + rest[2:]
+    return u + b + b + rest[1:]  # rest starts with b
 
 
 rotation_action = functools.lru_cache(maxsize=ROTATION_ACTION_CACHE)(_rotation_action)

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from treecolor import assoc
 from treecolor.assoc import (
     all_positive_vertices,
     color_graph,
@@ -14,7 +15,6 @@ from treecolor.assoc import (
     face_union_separates,
     graph_diameter,
     is_connected_or_edgeless,
-    max_dimension,
     positive_neighborhood,
     positive_vector,
     sweep_csv,
@@ -84,12 +84,10 @@ def test_input_guards():
 
 
 def test_dimension_guard(monkeypatch):
-    monkeypatch.delenv("ASSOC_COLOR_MAX_D", raising=False)
-    assert max_dimension() == 9
-    with pytest.raises(DimensionTooLarge):
+    assert assoc.MAX_DIMENSION == 9
+    with pytest.raises(DimensionTooLarge, match="^dimension 11 exceeds bound 9$"):
         color_graph((1,) * 12 + (2,))  # d = 11
-    monkeypatch.setenv("ASSOC_COLOR_MAX_D", "3")
-    assert max_dimension() == 3
+    monkeypatch.setattr(assoc, "MAX_DIMENSION", 3)
     with pytest.raises(DimensionTooLarge):
         color_graph((1, 1, 1, 1, 1, 2))  # d = 4, now over the limit
 

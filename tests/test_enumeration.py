@@ -8,8 +8,8 @@ import pytest
 from treecolor.coloring import zero_intervals
 from treecolor.enumeration import (
     ACCEPTABLE,
-    JACOBSTHAL,
     RIGID_SHIFTED,
+    RecurrenceSpec,
     brute_acceptable,
     brute_rigid,
     conjectured_m,
@@ -24,6 +24,8 @@ from treecolor.enumeration import (
 )
 from treecolor.errors import BoundExceeded, OutOfRange, TooSmall
 from treecolor.maps import is_prime
+
+JACOBSTHAL = RecurrenceSpec(1, 2, 0, 0, 1)
 
 
 # ---------- recurrences ----------

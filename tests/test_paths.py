@@ -3,14 +3,16 @@ compatible-coloring count, path search and the square/pentagon moves."""
 
 from __future__ import annotations
 
+import functools
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from treecolor import paths
 from treecolor.coloring import normalized_colorings, signs_of
-from treecolor.errors import NoMatch, OutOfRange, PivotMissing
+from treecolor.errors import LengthMismatch, NoMatch, OutOfRange, PivotMissing, TreeColorError
 from treecolor.paths import (
     SignedTree,
     SignStructure,
@@ -26,17 +28,22 @@ from treecolor.paths import (
     subpath_check,
 )
 from treecolor.thompson import (
+    IDENTITY,
     RotationSymbol,
     TreePair,
     apply_element,
     format_word,
+    multiply,
     parse_word,
     path_evaluate,
+    reduce,
+    rotation_as_pair,
     word_to_pair,
 )
-from treecolor.trees import BinaryTree, all_trees, right_vine
+from treecolor.trees import BinaryTree, all_trees, format_address, right_vine
 
 from test_acceptance import all_edge_paths
+from test_trees import bit_strings, ref_rotation_action, ref_rotation_step
 
 symbols_st = st.tuples(
     st.sampled_from(["", "0", "1", "00", "01", "10", "11"]),
@@ -81,6 +88,51 @@ def test_signed_rotation_missing_pivot():
         apply_signed_rotation(
             SignedTree(right_vine(2), {"": True, "1": True}), RotationSymbol("", False)
         )
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except TreeColorError as e:
+        return type(e), str(e)
+
+
+def ref_check_pivots(T, s):
+    a, b = s.pivots
+    if a not in T.internal or b not in T.internal:
+        raise PivotMissing(
+            f"pivots {format_address(a)},{format_address(b)} not internal in {T.to_text()}"
+        )
+
+
+def ref_is_signed_rotation_valid(st0, s):
+    ref_check_pivots(st0.tree, s)
+    a, b = s.pivots
+    return st0.signs[a] == st0.signs[b]
+
+
+def ref_apply_signed_rotation(st0, s):
+    """Each sign moved by the vertex action, then the tree rotated again."""
+    ref_check_pivots(st0.tree, s)
+    moved = {ref_rotation_action(s.u, s.inverse, v): sgn for v, sgn in st0.signs.items()}
+    for v in s.opposite().pivots:
+        moved[v] = not moved[v]
+    return SignedTree(ref_rotation_step(st0.tree, s.u, s.inverse)[0], moved)
+
+
+def test_signed_rotations_match_reference():
+    symbols = [RotationSymbol(u, inverse) for u in bit_strings(3) for inverse in (False, True)]
+    for n in range(1, 6):
+        for T in all_trees(n):
+            for c in normalized_colorings(T):
+                st0 = signed(T, c)
+                for s in symbols:
+                    for fn, ref in (
+                        (is_signed_rotation_valid, ref_is_signed_rotation_valid),
+                        (apply_signed_rotation, ref_apply_signed_rotation),
+                    ):
+                        assert outcome(fn, st0, s) == outcome(ref, st0, s), (T, c, s)
 
 
 # ---------- sign structures ----------
@@ -323,7 +375,7 @@ def test_find_path_respects_signs():
 def test_find_path_conventions():
     T = right_vine(3)
     assert find_sign_consistent_path(T, T) == ()
-    with pytest.raises(PivotMissing):
+    with pytest.raises(LengthMismatch, match="^leaf counts differ: 4 != 3$"):
         find_sign_consistent_path(T, right_vine(2))
 
 
@@ -366,6 +418,77 @@ def test_move_errors():
         square_move(parse_word("e"), 0)
     with pytest.raises(OutOfRange):
         pentagon_move(parse_word("0 e 1"), -1)
+
+
+def ref_check_index(w, i, width):
+    if not (0 <= i and i + width <= len(w)):
+        raise OutOfRange(f"no {width}-symbol subword at index {i} in a word of length {len(w)}")
+
+
+def ref_splice(w, i, width, repl):
+    out = w[:i] + repl + w[i + width:]
+    if paths.word_to_pair(out) != paths.word_to_pair(w):
+        raise NoMatch("rewrite does not preserve the group element")
+    return out
+
+
+def ref_square_move(w, i):
+    if i < 0 or i >= len(w):
+        raise OutOfRange(f"index {i} out of range")
+    if i + 3 <= len(w) and w[i + 2] == w[i].opposite():
+        s1, s2 = w[i], w[i + 1]
+        c = ref_rotation_action(s1.u, not s1.inverse, s2.u)
+        return ref_splice(w, i, 3, (RotationSymbol(c, s2.inverse),))
+    ref_check_index(w, i, 2)
+    s1, s2 = w[i], w[i + 1]
+    t1 = RotationSymbol(ref_rotation_action(s1.u, not s1.inverse, s2.u), s2.inverse)
+    t2 = RotationSymbol(ref_rotation_action(t1.u, t1.inverse, s1.u), s1.inverse)
+    return ref_splice(w, i, 2, (t1, t2))
+
+
+def ref_pentagon_move(w, i):
+    """The two pentagon templates, each direction written out."""
+    if i < 0 or i >= len(w):
+        raise OutOfRange(f"index {i} out of range")
+    R = RotationSymbol
+    if i + 3 <= len(w):
+        x = w[i + 1].u
+        if w[i: i + 3] == (R(x + "0", False), R(x, False), R(x + "1", False)):
+            return ref_splice(w, i, 3, (R(x), R(x)))
+        if w[i: i + 3] == (R(x + "1", True), R(x, True), R(x + "0", True)):
+            return ref_splice(w, i, 3, (R(x, True), R(x, True)))
+    if i + 2 <= len(w) and w[i] == w[i + 1]:
+        x, inv = w[i]
+        if inv:
+            return ref_splice(w, i, 2, (R(x + "1", True), R(x, True), R(x + "0", True)))
+        return ref_splice(w, i, 2, (R(x + "0", False), R(x, False), R(x + "1", False)))
+    raise NoMatch(f"no pentagon template at index {i}")
+
+
+def move_cases():
+    """Every word of length <= 3 on the pivots of length <= 2, and of length 4
+    on the pivots of length <= 1."""
+    def words(max_u, lengths):
+        syms = [RotationSymbol(u, inv) for u in bit_strings(max_u) for inv in (False, True)]
+        return [w for n in lengths for w in product(syms, repeat=n)]
+
+    return words(2, range(4)) + words(1, [4])
+
+
+def test_moves_match_reference(monkeypatch):
+    @functools.lru_cache(maxsize=None)
+    def folded(w):
+        """word_to_pair as a cached left fold: words that share a prefix
+        share its product, so each rewrite check costs one multiply."""
+        if not w:
+            return IDENTITY
+        return reduce(multiply(folded(w[:-1]), rotation_as_pair(w[-1])))
+
+    monkeypatch.setattr(paths, "word_to_pair", folded)
+    for w in move_cases():
+        for i in range(-1, len(w) + 1):
+            for fn, ref in ((square_move, ref_square_move), (pentagon_move, ref_pentagon_move)):
+                assert outcome(fn, w, i) == outcome(ref, w, i), (format_word(w), i, fn.__name__)
 
 
 @given(words_st)

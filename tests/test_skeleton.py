@@ -1,7 +1,7 @@
 """Tests for the cached rotation skeleton and the layers that run on it: the
 colour graph, zero sets and face-removal separation are compared with a
 reference that scans every tree's shadow pattern, rotates trees and hands
-the graph to networkx; the shared union-find with parity is checked on deep
+the graph to networkx; the shared signed-balance search is checked on deep
 input."""
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from itertools import product
 
 import networkx as nx
 import pytest
+from hypothesis import given, strategies as st
 
 import treecolor
 from treecolor import assoc, trees
 from treecolor.coloring import normalized_colorings, vector_sum, zero_intervals
 from treecolor.enumeration import pair_coloring_counts
 from treecolor.errors import DimensionTooLarge, Disconnected
-from treecolor.paths import signed_balance
+from treecolor.paths import sign_structure, signed_balance
 from treecolor.thompson import TreePair
 from treecolor.trees import (
     all_trees,
@@ -30,6 +31,8 @@ from treecolor.trees import (
     shadow_pattern,
     skeleton,
 )
+
+from test_acceptance import all_edge_paths
 
 # ---------- the reference: shadow scans, rotate and networkx ----------
 
@@ -236,7 +239,7 @@ def test_dimension_guard_runs_before_the_skeleton(monkeypatch):
     def boom(n):
         raise AssertionError("skeleton built before the dimension check")
 
-    monkeypatch.setenv("ASSOC_COLOR_MAX_D", "3")
+    monkeypatch.setattr(assoc, "MAX_DIMENSION", 3)
     monkeypatch.setattr(trees, "skeleton", boom)
     monkeypatch.setattr(assoc, "skeleton", boom)
     for call in (assoc.color_graph, assoc.zero_set):
@@ -266,12 +269,58 @@ def test_color_graph_layer_leaves_networkx_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# ---------- union-find with parity ----------
+# ---------- signed balance ----------
+
+
+def ref_signed_balance(nodes, edges):
+    """Union-find with parity: each node keeps its sign relative to its parent."""
+    parent = {v: v for v in nodes}
+    parity = {v: 0 for v in nodes}
+
+    def find(v):
+        p = 0
+        while parent[v] != v:
+            p ^= parity[v]
+            v = parent[v]
+        return v, p
+
+    balanced = True
+    for a, b, positive in edges:
+        need = 0 if positive else 1
+        ra, pa = find(a)
+        rb, pb = find(b)
+        if ra == rb:
+            balanced = balanced and pa ^ pb == need
+        else:
+            parent[ra] = rb
+            parity[ra] = pa ^ pb ^ need
+    return balanced, len({find(v)[0] for v in parent})
+
+
+def test_signed_balance_matches_union_find_on_sign_structures():
+    for w in all_edge_paths(4, 5):
+        ss = sign_structure(w)
+        nodes = ss.support.internal
+        assert signed_balance(nodes, ss.edges) == ref_signed_balance(nodes, ss.edges), w
+
+
+signed_multigraphs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()), max_size=12),
+    )
+)
+
+
+@given(signed_multigraphs)
+def test_signed_balance_matches_union_find_on_multigraphs(graph):
+    # loops and parallel edges of either sign included
+    n, edges = graph
+    assert signed_balance(range(n), edges) == ref_signed_balance(range(n), edges)
 
 
 def test_signed_balance_deep_chain():
-    # each union hangs the previous root below the next node, so the final
-    # finds walk a chain far deeper than the recursion limit
+    # a chain far longer than the recursion limit
     n = 3 * sys.getrecursionlimit()
     chain = [(i, i + 1, True) for i in range(n)]
     assert signed_balance(range(n + 1), chain) == (True, 1)

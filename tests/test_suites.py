@@ -40,4 +40,4 @@ def test_balance_suite_propagates_unexpected_errors(monkeypatch):
 
     monkeypatch.setattr(suites.thompson, "path_evaluate", broken)
     with pytest.raises(RuntimeError, match="broken path_evaluate"):
-        suites.suite_balance(sample=3)
+        suites.suite_balance()

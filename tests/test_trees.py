@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -166,6 +167,49 @@ def test_rotation_action_cases():
     assert rotation_action("", True, "11") == "1"
     # off-pivot addresses pass through
     assert rotation_action("0", False, "1") == "1"
+
+
+def ref_rotation_action(u, inverse, v):
+    """The vertex action written out once per direction."""
+    if not inverse:
+        if v == u:
+            return u + "1"
+        if v == u + "0":
+            return u
+        rest = v[len(u):]
+        if v.startswith(u):
+            if rest.startswith("00"):
+                return u + "0" + rest[2:]
+            if rest.startswith("01"):
+                return u + "10" + rest[2:]
+            if rest.startswith("1"):
+                return u + "11" + rest[1:]
+        return v
+    if v == u:
+        return u + "0"
+    if v == u + "1":
+        return u
+    rest = v[len(u):]
+    if v.startswith(u):
+        if rest.startswith("11"):
+            return u + "1" + rest[2:]
+        if rest.startswith("10"):
+            return u + "01" + rest[2:]
+        if rest.startswith("0"):
+            return u + "00" + rest[1:]
+    return v
+
+
+def bit_strings(max_len):
+    return ["".join(bits) for n in range(max_len + 1) for bits in product("01", repeat=n)]
+
+
+def test_rotation_action_matches_the_two_direction_rule():
+    vertices = bit_strings(7)
+    for u in bit_strings(3):
+        for inverse in (False, True):
+            for v in vertices:
+                assert rotation_action(u, inverse, v) == ref_rotation_action(u, inverse, v), (u, inverse, v)
 
 
 def test_rotate_basic():
