@@ -221,6 +221,12 @@ def _sign_masks(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_plane_size(T: BinaryTree) -> None:
+    """Refuse the 2^(n-1) normalized colorings of a tree over PLANE_MAX_CARETS."""
+    if T.carets > PLANE_MAX_CARETS:
+        raise TooLarge(f"colorings limited to {PLANE_MAX_CARETS} carets, got {T.carets}")
+
+
 def leaf_planes(T: BinaryTree) -> list[tuple[int, int]]:
     """Every normalized coloring of T at once: (h, l) per leaf, left to right.
 
@@ -230,8 +236,7 @@ def leaf_planes(T: BinaryTree) -> list[tuple[int, int]]:
     above it if the caret is positive and w^2 times it if negative, and the
     right edge gets the sum of the two.
     """
-    if T.carets > PLANE_MAX_CARETS:
-        raise TooLarge(f"colorings limited to {PLANE_MAX_CARETS} carets, got {T.carets}")
+    check_plane_size(T)
     k = max(T.carets - 1, 0)
     order = sorted(T.internal)  # v before both children
     # sign_order(T) is order[1:] and then the root, which stays positive

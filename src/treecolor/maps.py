@@ -10,7 +10,6 @@ from .errors import LengthMismatch, OutOfRange, TooLarge, TooSmall
 from .coloring import ColorVector, is_valid, normalized_colorings
 from .thompson import TreePair
 from .trees import (
-    Address,
     BinaryTree,
     _spans,
     leaves,
@@ -124,13 +123,6 @@ def has_parallel_edges(t: Triangulation) -> bool:
     return len(set(pairs)) < len(pairs)
 
 
-def _vertex_with_shadow(T: BinaryTree, interval: tuple[int, int]) -> Address:
-    for v, span in _spans(T).items():
-        if v and span == interval:
-            return v
-    raise OutOfRange(f"no vertex with shadow {interval}")
-
-
 def prime_factorization(p: TreePair) -> list[TreePair]:
     """Split at common shadow intervals, innermost first, into prime factors.
 
@@ -140,11 +132,16 @@ def prime_factorization(p: TreePair) -> list[TreePair]:
     contributes extra one-caret factors; the coloring count law holds either
     way.
     """
+    if p.d.leaf_count != p.r.leaf_count:
+        raise LengthMismatch(f"leaf counts differ: {p.d.leaf_count} != {p.r.leaf_count}")
     factors = []
-    while common := common_intervals(p):
-        a, b = min(common, key=lambda iv: (iv[1] - iv[0], iv[0]))
-        u = _vertex_with_shadow(p.d, (a, b))
-        v = _vertex_with_shadow(p.r, (a, b))
+    while True:
+        # every internal vertex but the topmost, keyed by its shadow interval
+        dv, rv = ({span: v for v, span in _spans(T).items() if v and v in T.internal} for T in p)
+        if not (common := dv.keys() & rv.keys()):
+            break
+        iv = min(common, key=lambda iv: (iv[1] - iv[0], iv[0]))
+        u, v = dv[iv], rv[iv]
         factors.append(TreePair(subtree_at(p.d, u), subtree_at(p.r, v)))
         # the cut vertex itself becomes a leaf of the rest
         p = TreePair(

@@ -4,11 +4,15 @@ Shared between the test suite and the ``verify`` CLI command."""
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from typing import Callable
 
 from . import assoc, coloring, enumeration, maps, paths, thompson, trees
-from .errors import PivotMissing
+
+# the rotation symbols the sampled-word suites draw from: pivots of <= 2 bits
+_SYMBOLS = [thompson.RotationSymbol(a, i) for a in ("", "0", "1", "00", "01", "10", "11")
+            for i in (False, True)]
 
 
 def suite_catalan() -> str:
@@ -70,26 +74,17 @@ def _is_alternating(T: trees.BinaryTree, signs: dict) -> bool:
 def suite_balance() -> str:
     """Balance of the sign structure matches brute-force sign existence and
     the compatible-coloring count is 2^(p-1), on sampled words."""
-    import random
-
     rng = random.Random(7)
-    addrs = [""] + ["".join(bits) for L in (1, 2) for bits in product("01", repeat=L)]
-    syms = [thompson.RotationSymbol(a, i) for a in addrs for i in (False, True)]
     pool = [T for n in range(1, 6) for T in trees.all_trees(n)]
     checked = 0
     for _ in range(400):
-        w = tuple(rng.choice(syms) for _ in range(rng.randint(1, 4)))
-        start = None
-        for T in pool:
-            try:
-                thompson.path_evaluate(T, w)
-            except PivotMissing:
-                continue
-            start = T
-            break
+        w = tuple(rng.choice(_SYMBOLS) for _ in range(rng.randint(1, 4)))
+        ss = paths.sign_structure(w)
+        # w walks from T iff T contains its support
+        start = next((T for T in pool if ss.support.internal <= T.internal), None)
         if start is None:
             continue
-        bal, p = paths.is_balanced(paths.sign_structure(w))
+        bal, p = paths.is_balanced(ss)
         got = len(paths.compatible_colorings(w, start))
         want = 2 ** (p - 1) if bal else 0
         assert got == want, (thompson.format_word(w), got, want)
@@ -151,22 +146,13 @@ def suite_chromatic() -> str:
 def suite_prime_sigma() -> str:
     """If the path from the support tree ends at a prime pair, the sign
     structure is connected."""
-    import random
-
     rng = random.Random(11)
-    addrs = ["", "0", "1", "00", "01", "10", "11"]
-    syms = [thompson.RotationSymbol(a, i) for a in addrs for i in (False, True)]
     checked = 0
     for _ in range(600):
-        w = tuple(rng.choice(syms) for _ in range(rng.randint(2, 5)))
+        w = tuple(rng.choice(_SYMBOLS) for _ in range(rng.randint(2, 5)))
         ss = paths.sign_structure(w)
         T = ss.support
-        if T.carets < 2:
-            continue
-        try:
-            end = thompson.path_evaluate(T, w)[-1]
-        except PivotMissing:
-            continue
+        end = thompson.path_evaluate(T, w)[-1]  # every word walks from its support
         if not maps.is_prime(thompson.TreePair(T, end)):
             continue
         assert paths.is_balanced(ss)[1] == 1, thompson.format_word(w)  # one component

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import treecolor
 from treecolor.cli import COUNTS_MAX_N, TREES_MAX_CARETS, main
+from treecolor.paths import PATH_MAX_CARETS
 
 
 def run(capsys, *argv):
@@ -232,6 +233,15 @@ def test_domain_error_exit(capsys):
         (["trees", "13"], f"trees limited to {TREES_MAX_CARETS} carets, got 13"),
         (["counts", "--kind", "rigid", "--n", "100000"], f"counts limited to n <= {COUNTS_MAX_N}"),
         (["counts", "--kind", "jacobsthal", "--n", "-1"], "index must be >= 0"),
+        # a 16-caret search ran past 20 s
+        (
+            [
+                "path", "x", "--find",
+                "(((.((..)(..)))((.(((..)(..))(..)))((..).)))(..))",
+                "(.(((((.(..)).)(..))(.(..)))(((.(..))(..))(..))))",
+            ],
+            f"path search limited to {PATH_MAX_CARETS} carets, got 16",
+        ),
     ],
 )
 def test_usage_errors_exit_2(argv, message):

@@ -37,7 +37,7 @@ from treecolor.maps import (
     v_triple_colorings,
 )
 from treecolor.thompson import TreePair, all_pairs, parse_word, word_to_pair
-from treecolor.trees import BinaryTree, all_trees, left_vine, right_vine
+from treecolor.trees import BinaryTree, all_trees, left_vine, right_vine, shadow_interval, subtree_at
 
 
 # ---------- duals ----------
@@ -192,6 +192,30 @@ def test_factor_count_law():
             for f in fac:
                 prod *= len(colorings_of_pair(f))
             assert len(colorings_of_pair(p)) == 2 ** (len(fac) - 1) * prod
+
+
+def ref_prime_factorization(p):
+    """The split with the cut vertices found by a scan over each tree."""
+    factors = []
+    while common := common_intervals(p):
+        iv = min(common, key=lambda iv: (iv[1] - iv[0], iv[0]))
+        u, v = (next(x for x in sorted(T.internal) if x and shadow_interval(T, x) == iv) for T in p)
+        factors.append(TreePair(subtree_at(p.d, u), subtree_at(p.r, v)))
+        p = TreePair(
+            BinaryTree(w for w in p.d.internal if not w.startswith(u)),
+            BinaryTree(w for w in p.r.internal if not w.startswith(v)),
+        )
+    factors.append(p)
+    return factors
+
+
+def test_factorization_matches_reference():
+    # every pair through 5 carets, reduced or not
+    for n in range(6):
+        for d in all_trees(n):
+            for r in all_trees(n):
+                p = TreePair(d, r)
+                assert prime_factorization(p) == ref_prime_factorization(p), p
 
 
 # ---------- families ----------

@@ -5,15 +5,32 @@ from __future__ import annotations
 
 import functools
 import random
+import time
+from collections import deque
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from treecolor import paths
-from treecolor.coloring import normalized_colorings, signs_of
-from treecolor.errors import LengthMismatch, NoMatch, OutOfRange, PivotMissing, TreeColorError
+from treecolor.coloring import (
+    FLEXIBLE,
+    classify_vector,
+    colorings_of_pair,
+    is_valid,
+    normalized_colorings,
+    signs_of,
+)
+from treecolor.errors import (
+    LengthMismatch,
+    NoMatch,
+    OutOfRange,
+    PivotMissing,
+    TooLarge,
+    TreeColorError,
+)
 from treecolor.paths import (
+    PATH_MAX_CARETS,
     SignedTree,
     SignStructure,
     apply_signed_rotation,
@@ -40,7 +57,7 @@ from treecolor.thompson import (
     rotation_as_pair,
     word_to_pair,
 )
-from treecolor.trees import BinaryTree, all_trees, format_address, right_vine
+from treecolor.trees import BinaryTree, all_trees, format_address, left_vine, right_vine, rotate
 
 from test_acceptance import all_edge_paths
 from test_trees import bit_strings, ref_rotation_action, ref_rotation_step
@@ -167,6 +184,28 @@ def test_subpath_check():
     assert subpath_check(parse_word("0 e 1")) == [True, True, False]
 
 
+def ref_subpath_check(w):
+    """Each prefix's verdict from its own sign structure."""
+    return [is_balanced(sign_structure(w[: k + 1]))[0] for k in range(len(w))]
+
+
+def test_subpath_check_matches_reference(monkeypatch):
+    # every word of length <= 4 over the pivots of <= 1 bit, and random
+    # deeper words, which mostly walk from no small tree
+    syms = [RotationSymbol(u, inv) for u in ("", "0", "1") for inv in (False, True)]
+    words = [w for n in range(1, 5) for w in product(syms, repeat=n)]
+    rng = random.Random(41)
+    words += [random_word(rng, max_depth=4, max_len=7) for _ in range(500)]
+    real = paths.sign_structure
+    built = []
+    monkeypatch.setattr(paths, "sign_structure", lambda w: built.append(w) or real(w))
+    for w in words:
+        want = ref_subpath_check(w)
+        built.clear()
+        assert subpath_check(w) == want, format_word(w)
+        assert built == [w]
+
+
 def sign_structure_by_pairs(w):
     """Reference route: pull the pivots back with the inverse of the reduced
     tree pair of each prefix."""
@@ -218,6 +257,31 @@ def test_component_count_includes_isolated_vertices():
     assert is_balanced(ss) == (True, 2)
 
 
+# ---------- where a word walks from ----------
+
+
+def test_words_walk_from_exactly_the_trees_containing_their_support():
+    # every word of <= 3 symbols at pivots of <= 2 bits, against every tree
+    # of <= 4 carets
+    def words(max_u, max_len):
+        syms = [RotationSymbol(u, inv) for u in bit_strings(max_u) for inv in (False, True)]
+        return [w for n in range(1, max_len + 1) for w in product(syms, repeat=n)]
+
+    pool = [T for n in range(5) for T in all_trees(n)]
+    walks = 0
+    for w in words(2, 3):
+        support = sign_structure(w).support.internal
+        for T in pool:
+            try:
+                path_evaluate(T, w)
+                walked = True
+            except PivotMissing:
+                walked = False
+            assert walked == (support <= T.internal), (format_word(w), T.to_text())
+            walks += walked
+    assert walks > 500
+
+
 # ---------- compatible colorings ----------
 
 
@@ -260,6 +324,15 @@ def test_unbalanced_word_has_no_colorings():
     D = sign_structure(w).support
     assert compatible_colorings(w, D) == []
     assert len(normalized_colorings(D)) == 4  # the obstruction is the signs
+
+
+def test_compatible_colorings_checks_the_caret_limit_first():
+    # before the 2^29 sign assignments of a 30-caret vine are tried
+    big = right_vine(30)
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match="^colorings limited to 20 carets, got 30$"):
+        compatible_colorings((), big)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def compatible_colorings_by_walk(w, D):
@@ -379,6 +452,53 @@ def test_find_path_conventions():
         find_sign_consistent_path(T, right_vine(2))
 
 
+def ref_find_sign_consistent_path(D, R):
+    """The search with a copy of the word kept in every queue entry and
+    every neighbour rotated and tested in full."""
+    if D == R:
+        return ()
+    for c in colorings_of_pair(TreePair(D, R)):
+        if classify_vector(c) != FLEXIBLE:
+            continue
+        seen = {D}
+        queue = deque([(D, ())])
+        while queue:
+            T, word = queue.popleft()
+            syms = [RotationSymbol(u, inv) for u in sorted(T.internal) for inv in (False, True)
+                    if u + ("1" if inv else "0") in T.internal]
+            for s in sorted(syms, key=str):
+                nxt = rotate(T, s.u, s.inverse)
+                if nxt in seen or not is_valid(nxt, c):
+                    continue
+                if nxt == R:
+                    return word + (s,)
+                seen.add(nxt)
+                queue.append((nxt, word + (s,)))
+    return None
+
+
+def test_find_path_matches_reference():
+    for n in range(6):
+        for D in all_trees(n):
+            for R in all_trees(n):
+                want = ref_find_sign_consistent_path(D, R)
+                assert find_sign_consistent_path(D, R) == want, (D.to_text(), R.to_text())
+
+
+def test_find_path_budget_is_checked_first(monkeypatch):
+    def forbidden(p):
+        raise AssertionError("colorings listed before the caret check")
+
+    monkeypatch.setattr(paths, "colorings_of_pair", forbidden)
+    big = right_vine(PATH_MAX_CARETS + 1)
+    message = f"^path search limited to {PATH_MAX_CARETS} carets, got {PATH_MAX_CARETS + 1}$"
+    for R in (big, left_vine(PATH_MAX_CARETS + 1)):
+        with pytest.raises(TooLarge, match=message):
+            find_sign_consistent_path(big, R)
+    at_budget = right_vine(PATH_MAX_CARETS)
+    assert find_sign_consistent_path(at_budget, at_budget) == ()
+
+
 # ---------- moves ----------
 
 
@@ -463,6 +583,29 @@ def ref_pentagon_move(w, i):
             return ref_splice(w, i, 2, (R(x + "1", True), R(x, True), R(x + "0", True)))
         return ref_splice(w, i, 2, (R(x + "0", False), R(x, False), R(x + "1", False)))
     raise NoMatch(f"no pentagon template at index {i}")
+
+
+def test_splice_matches_reference():
+    # replacements that are the same element (the subword itself, or with a
+    # cancelling pair added) and ones that mostly are not (random words)
+    rng = random.Random(47)
+    syms = [RotationSymbol(u, inv) for u in bit_strings(2) for inv in (False, True)]
+    same = 0
+    for _ in range(1000):
+        w = tuple(rng.choice(syms) for _ in range(rng.randint(2, 5)))
+        width = rng.randint(2, min(3, len(w)))
+        i = rng.randint(0, len(w) - width)
+        t = rng.choice(syms)
+        repl = rng.choice([
+            w[i: i + width],
+            w[i: i + width] + (t, t.opposite()),
+            (t.opposite(), t) + w[i: i + width],
+            tuple(rng.choice(syms) for _ in range(rng.randint(1, 3))),
+        ])
+        got = outcome(paths._splice, w, i, width, repl)
+        assert got == outcome(ref_splice, w, i, width, repl), (format_word(w), i, format_word(repl))
+        same += got == w[:i] + repl + w[i + width:]
+    assert 300 < same < 900
 
 
 def move_cases():
