@@ -9,6 +9,7 @@ prefix-closed.  Leaves are derived.
 from __future__ import annotations
 
 import functools
+import sys
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -19,6 +20,7 @@ from .errors import (
     NotPrefixClosed,
     PivotMissing,
     SubtreeTooSmall,
+    TooLarge,
     TooSmall,
     WrongCardinality,
 )
@@ -135,24 +137,77 @@ def leaves(T: BinaryTree) -> list[Address]:
     return out
 
 
+# all_trees(12) lists 208,012 trees; 16 carets would be 35M
+TREES_MAX_CARETS = 12
+
+
+def _trusted_tree(internal: frozenset[Address]) -> BinaryTree:
+    """A tree from a vertex set known to be prefix-closed: the check is skipped."""
+    T = BinaryTree.__new__(BinaryTree)
+    object.__setattr__(T, "internal", internal)
+    object.__setattr__(T, "_hash", hash(internal))
+    return T
+
+
+def _below(T: BinaryTree, bit: str) -> frozenset[Address]:
+    """The root and T's internal vertices moved below the root's child `bit`.
+
+    The addresses are interned, so trees built from them share one string
+    per address.
+    """
+    return frozenset(["", *(sys.intern(bit + v) for v in T.internal)])
+
+
+@functools.lru_cache(maxsize=None)
+def _sizes_in_order(m: int) -> tuple[int, ...]:
+    """The caret counts of all trees with at most m carets, in canonical order.
+
+    A join's text is "(" + text(left) + text(right) + ")" and the texts form
+    a prefix-free code, so joins sort by (left, right); "." sorts last.
+    """
+    if m < 0:
+        return ()
+    out = [a + b + 1 for a in _sizes_in_order(m - 1) for b in _sizes_in_order(m - 1 - a)]
+    out.append(0)
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def _all_trees(n: int) -> tuple[BinaryTree, ...]:
+    """The n-caret trees in canonical order, without a sort.
+
+    The left subtrees run over all smaller sizes in text order:
+    _sizes_in_order(n - 1) names the size of each in turn, and each size
+    yields its trees in its cached order.  Each is joined with every right
+    subtree of the complementary size, in that size's order.
+    """
     if n == 0:
         return (TRIVIAL,)
-    found = []
-    for i in range(n):
-        for left in _all_trees(i):
-            for right in _all_trees(n - 1 - i):
-                found.append(join(left, right))
-    found.sort(key=BinaryTree.to_text)
-    return tuple(found)
+    lefts = [iter(_all_trees(i)) for i in range(n)]
+    rights: dict[int, list] = {}  # right halves by size, kept if reused
+    out = []
+    for i in _sizes_in_order(n - 1):
+        zero = _below(next(lefts[i]), "0")
+        ones = rights.get(n - 1 - i)
+        if ones is None:
+            ones = (_below(T, "1") for T in _all_trees(n - 1 - i))
+            if i > 1:  # more left trees of i carets follow
+                ones = rights[n - 1 - i] = list(ones)
+        out.extend(_trusted_tree(zero | one) for one in ones)
+    return tuple(out)
 
 
-def all_trees(n: int) -> list[BinaryTree]:
-    """All trees with n carets, ordered lexicographically by canonical text."""
+def all_trees(n: int) -> tuple[BinaryTree, ...]:
+    """All trees with n carets, ordered lexicographically by canonical text.
+
+    The tuple is built once per size and shared by every caller.  At most
+    TREES_MAX_CARETS carets, checked before any work.
+    """
     if n < 0:
         raise TooSmall("caret count must be >= 0")
-    return list(_all_trees(n))
+    if n > TREES_MAX_CARETS:
+        raise TooLarge(f"trees limited to {TREES_MAX_CARETS} carets, got {n}")
+    return _all_trees(n)
 
 
 def subtree_at(T: BinaryTree, v: Address) -> BinaryTree:
@@ -165,10 +220,7 @@ def subtree_at(T: BinaryTree, v: Address) -> BinaryTree:
 
 def join(S: BinaryTree, T: BinaryTree) -> BinaryTree:
     """The tree whose left subtree is S and right subtree is T."""
-    internal = [""]
-    internal.extend("0" + v for v in S.internal)
-    internal.extend("1" + v for v in T.internal)
-    return BinaryTree(internal)
+    return _trusted_tree(_below(S, "0") | _below(T, "1"))
 
 
 def tree_set_ops(A: BinaryTree, B: BinaryTree):
@@ -285,12 +337,16 @@ rotation_action = functools.lru_cache(maxsize=ROTATION_ACTION_CACHE)(_rotation_a
 Step = tuple[BinaryTree, Mapping[Address, Address]]
 
 
-def _rotation_step(T: BinaryTree, u: Address, inverse: bool) -> Step:
+def _check_pivots(T: BinaryTree, u: Address, inverse: bool) -> None:
     pivot2 = u + ("1" if inverse else "0")
     if u not in T.internal or pivot2 not in T.internal:
         raise PivotMissing(
             f"pivots {format_address(u)},{format_address(pivot2)} not internal in {T.to_text()}"
         )
+
+
+def _rotation_step(T: BinaryTree, u: Address, inverse: bool) -> Step:
+    _check_pivots(T, u, inverse)
     moves = {v: _rotation_action(u, inverse, v) for v in T.internal}
     return BinaryTree(moves.values()), MappingProxyType(moves)
 
@@ -316,6 +372,15 @@ rotation_step.cache_info = _cached_rotation_step.cache_info
 def rotate(T: BinaryTree, u: Address, inverse: bool = False) -> BinaryTree:
     """Apply the rotation with pivot u (inverse: opposite direction)."""
     return rotation_step(T, u, inverse)[0]
+
+
+def rotate_uncached(T: BinaryTree, u: Address, inverse: bool = False) -> BinaryTree:
+    """rotate without the step cache or the vertex map, for a tree met once
+    (as by a path search): no cached sweep step is pushed out."""
+    _check_pivots(T, u, inverse)
+    return _trusted_tree(
+        frozenset(_rotation_action(u, inverse, v) if v.startswith(u) else v for v in T.internal)
+    )
 
 
 # ---------- The rotation skeleton ----------
@@ -347,15 +412,14 @@ def skeleton(n: int) -> Skeleton:
     """The trees with n carets, their shadow masks and left-rotation indices.
 
     Built on first use and cached for the life of the process: every size is
-    computed once, whatever the number of colour graphs drawn on it.  Each
+    computed once, whatever the number of colour graphs drawn on it.  The
+    trees are all_trees(n), so n is held to TREES_MAX_CARETS first.  Each
     edge of the skeleton appears once, as a left rotation of one endpoint.
     A shadow pattern determines its tree, so a rotation is found by its
     mask: rotating at u trades the interval [a, b] of u0 for the interval
     [x+1, c] of the new u1, where u00 ends at leaf x and u at leaf c.
     """
-    if n < 0:
-        raise TooSmall("caret count must be >= 0")
-    ts = _all_trees(n)
+    ts = all_trees(n)
     L = n + 1
     spans = [_spans(T) for T in ts]
     masks = tuple(interval_mask((sp[v] for v in T.internal if v), L) for T, sp in zip(ts, spans))

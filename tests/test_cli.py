@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treecolor
-from treecolor.cli import COUNTS_MAX_N, TREES_MAX_CARETS, main
+from treecolor.cli import COUNTS_MAX_N, main
 from treecolor.paths import PATH_MAX_CARETS
+from treecolor.trees import TREES_MAX_CARETS
 
 
 def run(capsys, *argv):

@@ -252,7 +252,6 @@ def test_dimension_guard_runs_before_the_skeleton(monkeypatch):
 def test_color_graph_layer_leaves_networkx_unloaded():
     src = os.path.dirname(os.path.dirname(treecolor.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("ASSOC_COLOR_MAX_D", None)
     code = (
         "import sys\n"
         "from treecolor import assoc\n"

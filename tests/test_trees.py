@@ -3,9 +3,11 @@ shadow patterns, rotations, the dihedral action and projections."""
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 
 import pytest
@@ -18,9 +20,11 @@ from treecolor.errors import (
     NotPrefixClosed,
     PivotMissing,
     SubtreeTooSmall,
+    TooLarge,
     TooSmall,
 )
 from treecolor.trees import (
+    TREES_MAX_CARETS,
     TRIVIAL,
     BinaryTree,
     all_trees,
@@ -37,10 +41,12 @@ from treecolor.trees import (
     ROTATION_ACTION_CACHE,
     ROTATION_STEP_CACHE,
     rotate,
+    rotate_uncached,
     rotation_action,
     rotation_step,
     shadow_interval,
     shadow_pattern,
+    skeleton,
     subtree_at,
     tree_from_shadow_pattern,
     tree_set_ops,
@@ -103,6 +109,52 @@ def test_all_trees_sorted_and_distinct():
         assert texts == sorted(texts)
         assert len(set(texts)) == len(texts)
         assert all(t.carets == n for t in ts)
+
+
+@functools.lru_cache(maxsize=None)
+def ref_all_trees(n):
+    """The sort-based generator: every join of two smaller trees, built
+    through the prefix-closure check and sorted by text."""
+    if n == 0:
+        return (TRIVIAL,)
+    found = [
+        BinaryTree(["", *("0" + v for v in l.internal), *("1" + v for v in r.internal)])
+        for i in range(n)
+        for l in ref_all_trees(i)
+        for r in ref_all_trees(n - 1 - i)
+    ]
+    found.sort(key=BinaryTree.to_text)
+    return tuple(found)
+
+
+def test_all_trees_matches_the_sorted_reference():
+    for n in range(11):
+        assert all_trees(n) == ref_all_trees(n)
+
+
+def test_generated_trees_are_valid_and_shared():
+    for n in range(11):
+        ts = all_trees(n)
+        assert ts is all_trees(n)
+        assert isinstance(ts, tuple)
+        for T in ts:
+            checked = BinaryTree(T.internal)  # through the prefix-closure check
+            assert T == checked and hash(T) == hash(checked)
+
+
+def test_each_address_is_one_string_object():
+    addresses = [v for T in all_trees(8) for v in T.internal]
+    assert len({id(v) for v in addresses}) == len(set(addresses))
+
+
+def test_tree_budget_is_checked_first():
+    for fn in (all_trees, skeleton):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"trees limited to {TREES_MAX_CARETS} carets, got 13"):
+            fn(TREES_MAX_CARETS + 1)
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(TooSmall):
+            fn(-1)
 
 
 def test_join_decomposition():
@@ -257,13 +309,14 @@ def test_rotation_step_matches_reference():
                     try:
                         want = ref_rotation_step(T, u, inverse)
                     except PivotMissing as e:
-                        for fn in (rotation_step, rotate):
+                        for fn in (rotation_step, rotate, rotate_uncached):
                             with pytest.raises(PivotMissing) as got:
                                 fn(T, u, inverse)
                             assert str(got.value) == str(e)
                         continue
                     assert rotation_step(T, u, inverse) == want
                     assert rotate(T, u, inverse) == want[0]
+                    assert rotate_uncached(T, u, inverse) == want[0]
 
 
 def test_rotation_steps_are_cached_up_to_a_bound():
@@ -285,6 +338,16 @@ def test_deep_vine_rotates_without_filling_the_caches():
     assert rotate(S, "", True) == T
     assert S.carets == 1500 and S.internal >= {"", "1"}
     assert (rotation_step.cache_info().currsize, rotation_action.cache_info().currsize) == before
+
+
+def test_uncached_rotation_leaves_the_caches_alone():
+    T = BinaryTree.from_text("(((..)(..))((..).))")
+    before = rotation_step.cache_info(), rotation_action.cache_info()
+    for u in sorted(T.internal):
+        for inverse in (False, True):
+            if u + ("1" if inverse else "0") in T.internal:
+                rotate_uncached(T, u, inverse)
+    assert (rotation_step.cache_info(), rotation_action.cache_info()) == before
 
 
 @given(trees_st)
