@@ -38,9 +38,7 @@ class ColorGraph(NamedTuple):
     edges: tuple  # of (index, index) with index_a < index_b
 
     def to_networkx(self):
-        """The graph as a networkx.Graph on the vertex indices, for export.
-
-        Needs the `graph` extra (networkx)."""
+        """The graph as a networkx.Graph on the vertex indices, for export."""
         import networkx as nx
 
         g = nx.Graph()

@@ -22,8 +22,7 @@ if TYPE_CHECKING:
 
 # Maps are vertex and edge tuples, so duals, primality, the families and the
 # chromatic counts never load networkx; the graph properties and the
-# fixtures that take networkx graphs import it when they are used, and need
-# the optional `graph` extra (`pip install 'treecolor[graph]'`).
+# fixtures that take networkx graphs import it when they are used.
 
 
 def _to_networkx(vertices: tuple, edges: tuple, multigraph: bool):
@@ -47,9 +46,7 @@ class Triangulation(NamedTuple):
 
     @property
     def graph(self) -> nx.Graph:
-        """A networkx Graph (MultiGraph for duals), built on each access.
-
-        Needs the `graph` extra (networkx)."""
+        """A networkx Graph (MultiGraph for duals), built on each access."""
         return _to_networkx(self.vertices, self.edges, self.multigraph)
 
 
@@ -64,9 +61,7 @@ class SphereMap(NamedTuple):
 
     @property
     def graph(self) -> nx.MultiGraph:
-        """The cubic map as a networkx MultiGraph, built on each access.
-
-        Needs the `graph` extra (networkx)."""
+        """The cubic map as a networkx MultiGraph, built on each access."""
         return _to_networkx(self.vertices, self.edges, True)
 
 
@@ -253,8 +248,8 @@ def count_vertex_colorings(g, k: int) -> int:
     """Exact number of proper vertex k-colorings (backtracking up to
     renaming the colors).
 
-    g is a Triangulation or a networkx graph (the `graph` extra); parallel
-    edges and loops add no constraint.
+    g is a Triangulation or a networkx graph; parallel edges and loops add
+    no constraint.
     """
     if isinstance(g, Triangulation):
         nodes, edges = g.vertices, g.edges
@@ -393,15 +388,13 @@ def no_color_v() -> VTriple:
 
 
 def petersen_graph() -> nx.Graph:
-    """The Petersen graph as a networkx Graph; needs the `graph` extra."""
     import networkx as nx
 
     return nx.petersen_graph()
 
 
 def edge_three_coloring_count(g: nx.Graph) -> int:
-    """Proper edge 3-colorings of a networkx graph, counted exactly
-    (line-graph vertex coloring); needs the `graph` extra."""
+    """Proper edge 3-colorings, counted exactly (line-graph vertex coloring)."""
     import networkx as nx
 
     lg = nx.line_graph(g)
@@ -414,9 +407,8 @@ def edge_three_coloring_count(g: nx.Graph) -> int:
 
 
 def edge_numbering_signs(g: nx.Graph, order: Sequence) -> list[bool]:
-    """Sign of each edge of a networkx graph (the `graph` extra) when placed
-    in the given order: positive iff its endpoint degrees among the earlier
-    edges have equal parity."""
+    """Sign of each edge when placed in the given order: positive iff its
+    endpoint degrees among the earlier edges have equal parity."""
     deg = {v: 0 for v in g.nodes}
     signs = []
     for a, b in order:
@@ -427,7 +419,6 @@ def edge_numbering_signs(g: nx.Graph, order: Sequence) -> list[bool]:
 
 
 def edge_numbering_balance(g: nx.Graph, order: Sequence) -> bool:
-    """Balance of the edge signs of a networkx graph (the `graph` extra)."""
     from .paths import signed_balance
 
     signs = edge_numbering_signs(g, order)
@@ -436,8 +427,7 @@ def edge_numbering_balance(g: nx.Graph, order: Sequence) -> bool:
 
 
 def balance_classification(g: nx.Graph) -> str:
-    """"always", "never" or "mixed" over every ordering of the edges of a
-    networkx graph (the `graph` extra)."""
+    """"always", "never" or "mixed" over every ordering of the edges."""
     from itertools import permutations
 
     edges = list(g.edges)

@@ -18,14 +18,7 @@ from .coloring import (
     vectors_from_sign_bits,
 )
 from .thompson import RotationSymbol, TreePair, Word, path_steps, word_to_pair
-from .trees import (
-    Address,
-    BinaryTree,
-    format_address,
-    rotate_uncached,
-    rotation_action,
-    rotation_step,
-)
+from .trees import Address, BinaryTree, format_address, rotate, rotation_action, rotation_step
 
 # path search budget: the worst of 40 seeded pairs of random trees took 0.9 s
 # at 12 carets and 1.9 s at 13 (2 cores, Python 3.11)
@@ -219,7 +212,7 @@ def _bfs_in_color_graph(D: BinaryTree, R: BinaryTree, c: ColorVector) -> Word | 
             a, b = ("1", "0") if s.inverse else ("0", "1")
             if color[s.u + a + b] == color[s.u + b]:
                 continue
-            nxt = rotate_uncached(T, s.u, s.inverse)
+            nxt = rotate(T, s.u, s.inverse)
             if nxt in parent:
                 continue
             parent[nxt] = (T, s)

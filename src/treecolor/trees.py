@@ -149,13 +149,14 @@ def _trusted_tree(internal: frozenset[Address]) -> BinaryTree:
     return T
 
 
-def _below(T: BinaryTree, bit: str) -> frozenset[Address]:
+def _below(T: BinaryTree, bit: str, intern: bool = False) -> frozenset[Address]:
     """The root and T's internal vertices moved below the root's child `bit`.
 
-    The addresses are interned, so trees built from them share one string
-    per address.
+    With intern, the addresses are interned, so the trees built from them
+    share one string per address.
     """
-    return frozenset(["", *(sys.intern(bit + v) for v in T.internal)])
+    moved = (bit + v for v in T.internal)
+    return frozenset(["", *(map(sys.intern, moved) if intern else moved)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,10 +188,10 @@ def _all_trees(n: int) -> tuple[BinaryTree, ...]:
     rights: dict[int, list] = {}  # right halves by size, kept if reused
     out = []
     for i in _sizes_in_order(n - 1):
-        zero = _below(next(lefts[i]), "0")
+        zero = _below(next(lefts[i]), "0", intern=True)
         ones = rights.get(n - 1 - i)
         if ones is None:
-            ones = (_below(T, "1") for T in _all_trees(n - 1 - i))
+            ones = (_below(T, "1", intern=True) for T in _all_trees(n - 1 - i))
             if i > 1:  # more left trees of i carets follow
                 ones = rights[n - 1 - i] = list(ones)
         out.extend(_trusted_tree(zero | one) for one in ones)
@@ -337,16 +338,12 @@ rotation_action = functools.lru_cache(maxsize=ROTATION_ACTION_CACHE)(_rotation_a
 Step = tuple[BinaryTree, Mapping[Address, Address]]
 
 
-def _check_pivots(T: BinaryTree, u: Address, inverse: bool) -> None:
+def _rotation_step(T: BinaryTree, u: Address, inverse: bool) -> Step:
     pivot2 = u + ("1" if inverse else "0")
     if u not in T.internal or pivot2 not in T.internal:
         raise PivotMissing(
             f"pivots {format_address(u)},{format_address(pivot2)} not internal in {T.to_text()}"
         )
-
-
-def _rotation_step(T: BinaryTree, u: Address, inverse: bool) -> Step:
-    _check_pivots(T, u, inverse)
     moves = {v: _rotation_action(u, inverse, v) for v in T.internal}
     return BinaryTree(moves.values()), MappingProxyType(moves)
 
@@ -372,15 +369,6 @@ rotation_step.cache_info = _cached_rotation_step.cache_info
 def rotate(T: BinaryTree, u: Address, inverse: bool = False) -> BinaryTree:
     """Apply the rotation with pivot u (inverse: opposite direction)."""
     return rotation_step(T, u, inverse)[0]
-
-
-def rotate_uncached(T: BinaryTree, u: Address, inverse: bool = False) -> BinaryTree:
-    """rotate without the step cache or the vertex map, for a tree met once
-    (as by a path search): no cached sweep step is pushed out."""
-    _check_pivots(T, u, inverse)
-    return _trusted_tree(
-        frozenset(_rotation_action(u, inverse, v) if v.startswith(u) else v for v in T.internal)
-    )
 
 
 # ---------- The rotation skeleton ----------

@@ -57,15 +57,7 @@ from treecolor.thompson import (
     rotation_as_pair,
     word_to_pair,
 )
-from treecolor.trees import (
-    BinaryTree,
-    all_trees,
-    format_address,
-    left_vine,
-    right_vine,
-    rotate,
-    rotation_step,
-)
+from treecolor.trees import BinaryTree, all_trees, format_address, left_vine, right_vine, rotate
 
 from test_acceptance import all_edge_paths
 from test_trees import bit_strings, ref_rotation_action, ref_rotation_step
@@ -491,14 +483,6 @@ def test_find_path_matches_reference():
             for R in all_trees(n):
                 want = ref_find_sign_consistent_path(D, R)
                 assert find_sign_consistent_path(D, R) == want, (D.to_text(), R.to_text())
-
-
-def test_find_path_leaves_the_step_cache_alone():
-    D, R = left_vine(6), right_vine(6)
-    before = rotation_step.cache_info()
-    w = find_sign_consistent_path(D, R)
-    assert rotation_step.cache_info() == before
-    assert len(w) > 1 and path_evaluate(D, w)[-1] == R
 
 
 def test_find_path_budget_is_checked_first(monkeypatch):

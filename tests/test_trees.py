@@ -41,7 +41,6 @@ from treecolor.trees import (
     ROTATION_ACTION_CACHE,
     ROTATION_STEP_CACHE,
     rotate,
-    rotate_uncached,
     rotation_action,
     rotation_step,
     shadow_interval,
@@ -309,14 +308,13 @@ def test_rotation_step_matches_reference():
                     try:
                         want = ref_rotation_step(T, u, inverse)
                     except PivotMissing as e:
-                        for fn in (rotation_step, rotate, rotate_uncached):
+                        for fn in (rotation_step, rotate):
                             with pytest.raises(PivotMissing) as got:
                                 fn(T, u, inverse)
                             assert str(got.value) == str(e)
                         continue
                     assert rotation_step(T, u, inverse) == want
                     assert rotate(T, u, inverse) == want[0]
-                    assert rotate_uncached(T, u, inverse) == want[0]
 
 
 def test_rotation_steps_are_cached_up_to_a_bound():
@@ -338,16 +336,6 @@ def test_deep_vine_rotates_without_filling_the_caches():
     assert rotate(S, "", True) == T
     assert S.carets == 1500 and S.internal >= {"", "1"}
     assert (rotation_step.cache_info().currsize, rotation_action.cache_info().currsize) == before
-
-
-def test_uncached_rotation_leaves_the_caches_alone():
-    T = BinaryTree.from_text("(((..)(..))((..).))")
-    before = rotation_step.cache_info(), rotation_action.cache_info()
-    for u in sorted(T.internal):
-        for inverse in (False, True):
-            if u + ("1" if inverse else "0") in T.internal:
-                rotate_uncached(T, u, inverse)
-    assert (rotation_step.cache_info(), rotation_action.cache_info()) == before
 
 
 @given(trees_st)
