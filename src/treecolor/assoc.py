@@ -12,14 +12,14 @@ from .errors import (
     Disconnected,
     NotAVineColoring,
     TooSmall,
-    ZeroEntry,
 )
 from .coloring import (
     Color,
     ColorVector,
+    _acceptable_sum,
+    _check_entries,
     format_vector,
     signs_of,
-    vector_sum,
     zero_intervals,
 )
 from .trees import BinaryTree, Skeleton, interval_mask, is_vine, skeleton
@@ -54,8 +54,7 @@ class ZeroSet(NamedTuple):
 
 
 def _check_vector(c: Sequence[Color]) -> int:
-    if any(x not in (1, 2, 3) for x in c):
-        raise ZeroEntry("entries must lie in {1,2,3}")
+    _check_entries(c)
     if len(c) < 2:
         raise TooSmall("vector must have length at least 2")
     d = len(c) - 2
@@ -113,7 +112,7 @@ def color_graph(c: Sequence[Color]) -> ColorGraph:
     """
     c = tuple(c)
     d = _check_vector(c)
-    if vector_sum(c) == 0 or len(set(c)) <= 1:
+    if not _acceptable_sum(c):
         return ColorGraph(c, (), ())
     sk = skeleton(d + 1)
     kept, edges = _induced(sk, interval_mask(zero_intervals(c), d + 2))

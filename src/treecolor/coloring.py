@@ -114,12 +114,20 @@ def _check_entries(c: Sequence[Color]) -> None:
         raise ZeroEntry("entries must lie in {1,2,3}")
 
 
+def _acceptable_sum(c: Sequence[Color]) -> Color:
+    """The sum of c if some tree makes c valid, else 0: the sum (the root's
+    interval) must be nonzero, a constant c sums to zero under any caret
+    over two leaves, and every other c has a witness tree (_witness)."""
+    total = vector_sum(c)
+    return total if total and len(set(c)) > 1 else 0
+
+
 def is_acceptable(c: Sequence[Color]) -> bool:
     """True iff some tree makes the vector valid: non-constant with nonzero sum."""
     _check_entries(c)
     if len(c) < 2:
         raise TooShort("vector must have length at least 2")
-    return len(set(c)) > 1 and vector_sum(c) != 0
+    return _acceptable_sum(c) != 0
 
 
 def acceptable_witness(c: Sequence[Color]) -> BinaryTree | None:
@@ -168,9 +176,9 @@ UNACCEPTABLE = "Unacceptable"
 def classify_vector(c: Sequence[Color]) -> str:
     """Class of the vector, uniform over every tree for which it is valid."""
     _check_entries(c)
-    if len(set(c)) <= 1 or vector_sum(c) == 0:
+    total = _acceptable_sum(c)
+    if not total:
         return UNACCEPTABLE
-    total = vector_sum(c)
     if total == 2:
         perm = {1: 3, 3: 2, 2: 1}
     elif total == 3:
@@ -356,21 +364,3 @@ def zero_intervals(c: Sequence[Color]) -> set[tuple[int, int]]:
         for j in range(i + 1, n + 1)
         if pre[j] ^ pre[i - 1] == 0
     }
-
-
-def valid_trees(c: Sequence[Color], trees: Iterable[BinaryTree]) -> list[BinaryTree]:
-    """Filter trees by validity using shadow patterns against zero intervals."""
-    from .trees import shadow_pattern
-
-    _check_entries(c)
-    if vector_sum(c) == 0:
-        return []
-    bad = zero_intervals(c)
-    out = []
-    for T in trees:
-        if T.leaf_count < 2:
-            out.append(T)
-            continue
-        if not (shadow_pattern(T) & bad):
-            out.append(T)
-    return out

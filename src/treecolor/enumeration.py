@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 from .errors import BoundExceeded, TooSmall
 from .coloring import (
+    UNACCEPTABLE,
     classify_vector,
     is_rigid,
     leaf_planes,
@@ -17,6 +18,11 @@ from .coloring import (
 )
 from .thompson import TreePair
 from .trees import skeleton
+
+# 3^n vectors of length n+1: the brute counts at n = 12 took 2.5-3.6 s on 2 cores
+VECTORS_MAX_N = 12
+# Catalan(carets)^2 pairs: max_coloring_search(11), over 9 carets, took 8.3-11.7 s on 2 cores
+PAIR_COUNTS_MAX_CARETS = 9
 
 
 class RecurrenceSpec(NamedTuple):
@@ -74,6 +80,8 @@ def _brute_count(n: int, keep) -> int:
     """
     from itertools import product
 
+    if n > VECTORS_MAX_N:
+        raise BoundExceeded(f"n={n} exceeds bound {VECTORS_MAX_N}")
     seen = set()
     swap = {1: 1, 2: 3, 3: 2}
     for rest in product((1, 2, 3), repeat=n):
@@ -85,7 +93,7 @@ def _brute_count(n: int, keep) -> int:
 
 def brute_acceptable(n: int) -> int:
     """Acceptable length-(n+1) vectors counted up to renaming colors."""
-    return _brute_count(n, lambda c: classify_vector(c) != "Unacceptable")
+    return _brute_count(n, lambda c: classify_vector(c) != UNACCEPTABLE)
 
 
 def brute_rigid(n: int) -> int:
@@ -106,8 +114,12 @@ def pair_coloring_counts(carets: int):
 
     Per tree D, every interval (lo, hi) gets the mask of D's normalized
     colorings on which it sums to a nonzero color; the count for R is the
-    popcount of the AND of those masks over R's shadow intervals.
+    popcount of the AND of those masks over R's shadow intervals.  The size
+    is held to PAIR_COUNTS_MAX_CARETS at the first next(), before any work:
+    this stays a generator function, so a tracer can count what it yields.
     """
+    if carets > PAIR_COUNTS_MAX_CARETS:
+        raise BoundExceeded(f"carets={carets} exceeds bound {PAIR_COUNTS_MAX_CARETS}")
     sk = skeleton(carets)
     L = carets + 1
     # each tree's shadow intervals as positions in the interval_mask encoding
@@ -133,8 +145,10 @@ def max_coloring_search(n: int, bound: int = 8) -> CountReport:
     """Largest distinct coloring counts over n-vertex dual triangulations.
 
     Sweeps every prime pair with n-2 carets; the dual of such a pair is a
-    simple triangulation of the sphere on n vertices.
+    simple triangulation of the sphere on n vertices.  No bound lifts n
+    past PAIR_COUNTS_MAX_CARETS + 2.
     """
+    bound = min(bound, PAIR_COUNTS_MAX_CARETS + 2)
     if not 2 <= n <= bound:
         raise BoundExceeded(f"n={n} outside [2, {bound}]")
     best: dict[int, TreePair] = {}
@@ -172,18 +186,18 @@ def conjectured_m(i: int, n: int) -> int:
 # ---------- Zero-set extremes ----------
 
 
-def zero_set_extremes(n: int, bound: int = 12):
+def zero_set_extremes(n: int):
     """(max |Z|, min |Z|, max witness, min witness) over acceptable vectors
     of length n+1."""
     from itertools import product
 
-    if n > bound:
-        raise BoundExceeded(f"n={n} exceeds bound {bound}")
+    if n > VECTORS_MAX_N:
+        raise BoundExceeded(f"n={n} exceeds bound {VECTORS_MAX_N}")
     hi = lo = None
     hi_w = lo_w = None
     for rest in product((1, 2, 3), repeat=n):
         c = (1,) + rest
-        if classify_vector(c) == "Unacceptable":
+        if classify_vector(c) == UNACCEPTABLE:
             continue
         z = len(zero_intervals(c))
         if hi is None or z > hi:

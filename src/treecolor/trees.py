@@ -390,7 +390,6 @@ class Skeleton(NamedTuple):
     """The rotation 1-skeleton of the associahedron on the n-caret trees."""
 
     trees: tuple  # of BinaryTree, canonical order (as all_trees)
-    index: dict  # BinaryTree -> its position in trees
     masks: tuple  # interval_mask of each tree's shadow pattern (0 below 2 leaves)
     left: tuple  # per tree, indices of rotate(T, u) for sorted u with u+"0" internal
 
@@ -421,7 +420,7 @@ def skeleton(n: int) -> Skeleton:
                 x = sp[u + "00"][1]
                 rot.append(by_mask[m ^ interval_mask([(a, b), (x + 1, sp[u][1])], L)])
         left.append(tuple(rot))
-    return Skeleton(ts, {T: i for i, T in enumerate(ts)}, masks, tuple(left))
+    return Skeleton(ts, masks, tuple(left))
 
 
 # ---------- Vines ----------

@@ -23,6 +23,7 @@ from treecolor.assoc import (
 )
 from treecolor.coloring import (
     FLEXIBLE,
+    UNACCEPTABLE,
     classify_vector,
     is_acceptable,
     is_valid,
@@ -63,6 +64,15 @@ def test_color_graph_matches_brute_force():
             assert list(g.vertices) == verts
             got = {frozenset({g.vertices[a], g.vertices[b]}) for a, b in g.edges}
             assert got == edges
+
+
+def test_acceptability_agrees_everywhere():
+    """is_acceptable, classify_vector and color_graph share one rule."""
+    for L in range(2, 8):
+        for c in product((1, 2, 3), repeat=L):
+            acceptable = is_acceptable(c)
+            assert (classify_vector(c) != UNACCEPTABLE) == acceptable, c
+            assert bool(color_graph(c).vertices) == acceptable, c
 
 
 def test_vertices_in_canonical_order():

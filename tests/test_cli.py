@@ -328,11 +328,21 @@ MODULES_RUN = {
 }
 
 
-def _pinned_argv() -> list[list[str]]:
-    """The commands of the benchmark's cli-mix workload."""
+def _pinned_commands() -> list[dict]:
+    """The commands of the benchmark's cli-mix workload, each with its argv,
+    exit code and stdout."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "bench", "cli_expected.json"), encoding="utf-8") as f:
-        return [c["argv"] for c in json.load(f)["commands"]]
+        return json.load(f)["commands"]
+
+
+def _pinned_argv() -> list[list[str]]:
+    return [c["argv"] for c in _pinned_commands()]
+
+
+@pytest.mark.parametrize("cmd", _pinned_commands(), ids=lambda c: " ".join(c["argv"]))
+def test_pinned_commands_reproduce_their_output(capsys, cmd):
+    assert run(capsys, *cmd["argv"]) == (cmd["exit"], cmd["stdout"])
 
 
 def _loaded_modules(code: str) -> set[str]:

@@ -30,7 +30,6 @@ from treecolor.coloring import (
     pattern_rigid,
     sign_assignment_from_coloring,
     signs_of,
-    valid_trees,
     vector_from_edge_coloring,
     vector_sum,
     zero_intervals,
@@ -145,13 +144,6 @@ def test_witness_against_brute_force():
                 assert w is not None and is_valid(w, c)
             else:
                 assert w is None
-
-
-def test_valid_trees_helper():
-    c = (1, 1, 2)
-    got = valid_trees(c, all_trees(2))
-    assert got == [T for T in all_trees(2) if is_valid(T, c)]
-    assert len(got) == 1
 
 
 # ---------- trichotomy ----------

@@ -3,12 +3,16 @@ companions, extremal coloring searches and zero-set size extremes."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from treecolor.coloring import zero_intervals
 from treecolor.enumeration import (
     ACCEPTABLE,
+    PAIR_COUNTS_MAX_CARETS,
     RIGID_SHIFTED,
+    VECTORS_MAX_N,
     RecurrenceSpec,
     brute_acceptable,
     brute_rigid,
@@ -105,6 +109,28 @@ def test_max_coloring_search_bound():
         max_coloring_search(9)  # default bound is 8
     with pytest.raises(BoundExceeded):
         max_coloring_search(1)
+
+
+# ---------- budgets ----------
+
+OVER_BUDGET = {
+    "brute_acceptable": lambda: brute_acceptable(VECTORS_MAX_N + 1),
+    "brute_rigid": lambda: brute_rigid(VECTORS_MAX_N + 1),
+    "zero_set_extremes": lambda: zero_set_extremes(VECTORS_MAX_N + 1),
+    "pair_coloring_counts": lambda: next(pair_coloring_counts(PAIR_COUNTS_MAX_CARETS + 1)),
+    # a bound above the cap does not lift it
+    "max_coloring_search": lambda: max_coloring_search(
+        PAIR_COUNTS_MAX_CARETS + 3, bound=PAIR_COUNTS_MAX_CARETS + 3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVER_BUDGET)
+def test_budget_plus_one_raises_at_once(name):
+    t0 = time.perf_counter()
+    with pytest.raises(BoundExceeded):
+        OVER_BUDGET[name]()
+    assert time.perf_counter() - t0 < 0.1
 
 
 # ---------- conjectured extreme counts ----------

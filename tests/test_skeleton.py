@@ -133,11 +133,12 @@ def test_shadow_pattern_matches_leaf_scan(n):
 def test_skeleton_invariants(n):
     sk = skeleton(n)
     assert sk.trees == tuple(all_trees(n))
-    assert all(sk.index[T] == i for i, T in enumerate(sk.trees))
+    index = {T: i for i, T in enumerate(sk.trees)}
+    assert len(index) == len(sk.trees)
     for T, mask, left in zip(sk.trees, sk.masks, sk.left):
         assert mask == interval_mask(ref_shadow_pattern(T), n + 1)
         pivots = [u for u in sorted(T.internal) if u + "0" in T.internal]
-        assert list(left) == [sk.index[rotate(T, u)] for u in pivots]
+        assert list(left) == [index[rotate(T, u)] for u in pivots]
     # every tree has n-1 rotatable edges, and each skeleton edge appears
     # once, as a left rotation of one endpoint
     edges = [frozenset((i, j)) for i, left in enumerate(sk.left) for j in left]

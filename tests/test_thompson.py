@@ -4,12 +4,13 @@ addresses, rotation words and the structural predicates."""
 from __future__ import annotations
 
 import pickle
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from treecolor import thompson
-from treecolor.errors import LengthMismatch, NotALeaf, NotAVertex, PivotMissing
+from treecolor.errors import LengthMismatch, NotALeaf, NotAVertex, PivotMissing, TooLarge
 from treecolor.thompson import (
     IDENTITY,
     RotationSymbol,
@@ -255,3 +256,10 @@ def test_all_pairs():
     assert len(got) == 2  # only the two root rotations survive reduction
     assert all(reduce(p) == p for p in got)
     assert len(list(all_pairs(3))) == 14
+
+
+def test_all_pairs_budget_raises_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"pairs limited to {thompson.ALL_PAIRS_MAX_CARETS} carets"):
+        all_pairs(thompson.ALL_PAIRS_MAX_CARETS + 1)
+    assert time.perf_counter() - t0 < 0.1
