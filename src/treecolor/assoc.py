@@ -199,14 +199,9 @@ def face_union_separates(
     count = 0
     for s in range(len(kept)):
         if comp[s] < 0:
-            comp[s] = count
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                for w in adj[v]:
-                    if comp[w] < 0:
-                        comp[w] = count
-                        queue.append(w)
+            for v, dist in enumerate(_bfs(adj, s)):
+                if dist >= 0:
+                    comp[v] = count
             count += 1
     label = {sk.trees[i]: comp[k] for k, i in enumerate(kept)}
     return count > 1, label

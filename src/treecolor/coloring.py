@@ -306,8 +306,6 @@ def colorings_of_pair(p: TreePair) -> list[ColorVector]:
     color; the interval of R's root sums to the root color 1 and a leaf to
     its own color, so only R's other carets can fail.
     """
-    if p.d.leaf_count != p.r.leaf_count:
-        raise LengthMismatch(f"vector length {p.d.leaf_count} != leaf count {p.r.leaf_count}")
     planes = leaf_planes(p.d)
     pre = prefix_planes(planes)
     ok = pre[-1][1]  # the leaves sum to the root color 1, (0, every assignment)

@@ -4,7 +4,8 @@ pairs, and zero-set size extremes."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import product
+from typing import Iterator, NamedTuple
 
 from .errors import BoundExceeded, TooSmall
 from .coloring import (
@@ -72,20 +73,23 @@ def count_flexible(n: int) -> int:
 # ---------- Brute-force companions ----------
 
 
+def _vectors(n: int) -> Iterator[tuple[int, ...]]:
+    """Every length-(n+1) vector with leading color 1; n is held to
+    VECTORS_MAX_N on the call, before any vector is built."""
+    if n > VECTORS_MAX_N:
+        raise BoundExceeded(f"n={n} exceeds bound {VECTORS_MAX_N}")
+    return ((1,) + rest for rest in product((1, 2, 3), repeat=n))
+
+
 def _brute_count(n: int, keep) -> int:
     """Length-(n+1) vectors passing keep, counted up to renaming colors.
 
     Fixing the leading color to 1 kills the 3-cycles; the leftover swap of
     the other two colors is quotiented directly.
     """
-    from itertools import product
-
-    if n > VECTORS_MAX_N:
-        raise BoundExceeded(f"n={n} exceeds bound {VECTORS_MAX_N}")
     seen = set()
     swap = {1: 1, 2: 3, 3: 2}
-    for rest in product((1, 2, 3), repeat=n):
-        c = (1,) + rest
+    for c in _vectors(n):
         if keep(c):
             seen.add(min(c, tuple(swap[x] for x in c)))
     return len(seen)
@@ -189,14 +193,9 @@ def conjectured_m(i: int, n: int) -> int:
 def zero_set_extremes(n: int):
     """(max |Z|, min |Z|, max witness, min witness) over acceptable vectors
     of length n+1."""
-    from itertools import product
-
-    if n > VECTORS_MAX_N:
-        raise BoundExceeded(f"n={n} exceeds bound {VECTORS_MAX_N}")
     hi = lo = None
     hi_w = lo_w = None
-    for rest in product((1, 2, 3), repeat=n):
-        c = (1,) + rest
+    for c in _vectors(n):
         if classify_vector(c) == UNACCEPTABLE:
             continue
         z = len(zero_intervals(c))

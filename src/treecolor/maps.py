@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import LengthMismatch, OutOfRange, TooLarge, TooSmall
+from .errors import OutOfRange, TooLarge, TooSmall
 from .coloring import ColorVector, is_valid, normalized_colorings
 from .thompson import TreePair
 from .trees import (
@@ -77,7 +77,7 @@ class VTriple(NamedTuple):
 def pair_to_dual(p: TreePair) -> Triangulation:
     """Two triangulated polygons glued along the equator of the sphere."""
     L = p.d.leaf_count
-    if L < 2 or p.r.leaf_count != L:
+    if L < 2:
         raise TooSmall("pair must have at least 2 leaves on each side")
     edges = [(i - 1, i) for i in range(1, L + 1)]
     edges.append((L, 0))
@@ -88,9 +88,7 @@ def pair_to_dual(p: TreePair) -> Triangulation:
 
 def pair_to_map(p: TreePair) -> SphereMap:
     """The cubic map: both trees rooted on a common edge, leaves glued in order."""
-    L = p.d.leaf_count
-    if L < 2 or p.r.leaf_count != L:
-        raise TooSmall("pair must have at least 2 leaves on each side")
+    dual = pair_to_dual(p)
     vertices, edges = [], []
     for side, T in (("d", p.d), ("r", p.r)):
         for v in sorted(T.internal):
@@ -100,12 +98,10 @@ def pair_to_map(p: TreePair) -> SphereMap:
     edges.append((("d", ""), ("r", "")))
     for a, b in zip(leaves(p.d), leaves(p.r)):
         edges.append((("d", a[:-1]), ("r", b[:-1])))
-    return SphereMap(tuple(vertices), tuple(edges), pair_to_dual(p))
+    return SphereMap(tuple(vertices), tuple(edges), dual)
 
 
 def common_intervals(p: TreePair) -> set[tuple[int, int]]:
-    if p.d.leaf_count != p.r.leaf_count:
-        raise LengthMismatch(f"leaf counts differ: {p.d.leaf_count} != {p.r.leaf_count}")
     if p.d.leaf_count < 2:
         return set()
     return set(shadow_pattern(p.d) & shadow_pattern(p.r))
@@ -132,8 +128,6 @@ def prime_factorization(p: TreePair) -> list[TreePair]:
     contributes extra one-caret factors; the coloring count law holds either
     way.
     """
-    if p.d.leaf_count != p.r.leaf_count:
-        raise LengthMismatch(f"leaf counts differ: {p.d.leaf_count} != {p.r.leaf_count}")
     factors = []
     while True:
         # every internal vertex but the topmost, keyed by its shadow interval

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import LengthMismatch, NoMatch, OutOfRange, TooLarge
+from .errors import NoMatch, OutOfRange, TooLarge
 from .coloring import (
     ColorVector,
     FLEXIBLE,
@@ -186,13 +186,12 @@ def find_sign_consistent_path(D: BinaryTree, R: BinaryTree) -> Word | None:
     Searches each flexible common normalized vector in canonical order and
     walks its color graph breadth-first; returns the first path found.
     """
-    if D.leaf_count != R.leaf_count:
-        raise LengthMismatch(f"leaf counts differ: {D.leaf_count} != {R.leaf_count}")
+    p = TreePair(D, R)
     if D.carets > PATH_MAX_CARETS:
         raise TooLarge(f"path search limited to {PATH_MAX_CARETS} carets, got {D.carets}")
     if D == R:
         return ()
-    for c in colorings_of_pair(TreePair(D, R)):
+    for c in colorings_of_pair(p):
         if classify_vector(c) != FLEXIBLE:
             continue
         word = _bfs_in_color_graph(D, R, c)

@@ -84,9 +84,21 @@ def format_word(w: Word) -> str:
     return " ".join(str(s) for s in w)
 
 
-class TreePair(NamedTuple):
+class _Pair(NamedTuple):
     d: BinaryTree
     r: BinaryTree
+
+
+class TreePair(_Pair):
+    """A pair of binary trees with the same number of leaves; any other pair
+    is refused with LengthMismatch."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: BinaryTree, r: BinaryTree):
+        if len(d.internal) != len(r.internal):
+            raise LengthMismatch(f"leaf counts differ: {d.leaf_count} != {r.leaf_count}")
+        return tuple.__new__(cls, (d, r))
 
     def __str__(self) -> str:
         return f"({self.d.to_text()}, {self.r.to_text()})"
@@ -152,8 +164,6 @@ def _infix_key(v: Address):
 def apply_element(p: TreePair, v: Address) -> Address:
     """The total action of the pair on vertex addresses of the standard model."""
     D, R = p
-    if D.leaf_count != R.leaf_count:
-        raise LengthMismatch(f"leaf counts differ: {D.leaf_count} != {R.leaf_count}")
     dl = leaves(D)
     rl = leaves(R)
     for k in range(len(v) + 1):

@@ -243,6 +243,7 @@ def test_domain_error_exit(capsys):
             ],
             f"path search limited to {PATH_MAX_CARETS} carets, got 16",
         ),
+        (["color", "12", "--pair", "(..)", "((..).)"], "leaf counts differ: 2 != 3"),
     ],
 )
 def test_usage_errors_exit_2(argv, message):

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 import treecolor
-from treecolor import trees
+from treecolor import maps, trees
 
 # the 20 public names and the module each lives in
 HOME = {
@@ -70,3 +72,21 @@ def test_names_are_looked_up_on_each_access(monkeypatch):
     marker = object()
     monkeypatch.setattr(trees, "all_trees", marker)
     assert treecolor.all_trees is marker
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # the benchmark's traced run wraps the functions named in bench/tracer.py;
+    # install() raises on a name that is missing or that escapes tracing
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    rotate, shadow_pattern = trees.rotate, maps.shadow_pattern
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert trees.rotate is not rotate
+    finally:
+        t.uninstall()
+    assert trees.rotate is rotate
+    assert maps.shadow_pattern is shadow_pattern
