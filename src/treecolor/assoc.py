@@ -18,7 +18,10 @@ from .coloring import (
     ColorVector,
     _acceptable_sum,
     _check_entries,
+    edge_coloring_from_vector,
     format_vector,
+    pattern_coloring,
+    pattern_positive,
     signs_of,
     zero_intervals,
 )
@@ -162,8 +165,6 @@ def vine_word(T: BinaryTree, c: Sequence[Color]) -> str:
     ones = [i for i, x in enumerate(c) if x != 1]
     if len(ones) != 1 or c[ones[0]] != 2 or not is_vine(T):
         raise NotAVineColoring("expected a vine colored by a 1^m 2 1^n vector")
-    from .coloring import edge_coloring_from_vector
-
     e = edge_coloring_from_vector(T, c)
     if 0 in e.values():
         raise NotAVineColoring("vector is not valid for this tree")
@@ -212,8 +213,6 @@ def face_union_separates(
 
 def positive_vector(T: BinaryTree) -> ColorVector:
     """The normalized vector assigning every caret of T a positive sign."""
-    from .coloring import pattern_coloring, pattern_positive
-
     if not T.internal:
         raise TooSmall("tree must have at least one caret")
     return pattern_coloring(pattern_positive, T)

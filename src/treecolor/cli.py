@@ -103,16 +103,13 @@ def cmd_path(args) -> int:
         _out(args, {"path": thompson.format_word(w)}, thompson.format_word(w) or "(empty)")
         return 0
     w = thompson.parse_word(args.word)
-    if args.square is not None:
+    if args.square is not None or args.pentagon is not None:
         from . import paths
 
-        w2 = paths.square_move(w, args.square)
-        _out(args, {"word": thompson.format_word(w2)}, thompson.format_word(w2))
-        return 0
-    if args.pentagon is not None:
-        from . import paths
-
-        w2 = paths.pentagon_move(w, args.pentagon)
+        if args.square is not None:  # square first when both are given
+            w2 = paths.square_move(w, args.square)
+        else:
+            w2 = paths.pentagon_move(w, args.pentagon)
         _out(args, {"word": thompson.format_word(w2)}, thompson.format_word(w2))
         return 0
     if args.start:

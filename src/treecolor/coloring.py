@@ -36,8 +36,8 @@ if TYPE_CHECKING:
 Color = int
 ColorVector = tuple[Color, ...]
 
-_POSITIVE = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 _SUCC = {1: 2, 2: 3, 3: 1}
+_POSITIVE = {(a, _SUCC[a], _SUCC[_SUCC[a]]) for a in _SUCC}
 
 
 def parse_vector(s: str) -> ColorVector:
@@ -179,21 +179,15 @@ def classify_vector(c: Sequence[Color]) -> str:
     total = _acceptable_sum(c)
     if not total:
         return UNACCEPTABLE
-    if total == 2:
-        perm = {1: 3, 3: 2, 2: 1}
-    elif total == 3:
-        perm = {1: 2, 2: 3, 3: 1}
-    else:
-        perm = {1: 1, 2: 2, 3: 3}
-    d = [perm[x] for x in c]
+    # scaling c to sum 1 divides each prefix sum by total, so seek w^2*total, w*total
     acc = 0
     prefix_sums = set()
-    for x in d[:-1]:
+    for x in c[:-1]:
         acc ^= x
         prefix_sums.add(acc)
-    if 3 not in prefix_sums:
+    if _SUCC[_SUCC[total]] not in prefix_sums:
         return POSITIVE_RIGID
-    if 2 not in prefix_sums:
+    if _SUCC[total] not in prefix_sums:
         return NEGATIVE_RIGID
     return FLEXIBLE
 

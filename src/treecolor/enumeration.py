@@ -7,7 +7,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from .errors import BoundExceeded, TooSmall
+from .errors import BoundExceeded, OutOfRange, TooSmall
 from .coloring import (
     UNACCEPTABLE,
     classify_vector,
@@ -167,8 +167,6 @@ def conjectured_m(i: int, n: int) -> int:
     """Predicted formulas for the four largest counts; the first holds from
     n=5, the rest from n=7.  The third rank is defined as the top count one
     size down (its witness attaches a vertex to the smaller extremal map)."""
-    from .errors import OutOfRange
-
     def parity(e, o):
         return e if n % 2 == 0 else o
 

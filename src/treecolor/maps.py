@@ -308,31 +308,22 @@ def _count_component(comp: list, adj: dict, k: int) -> int:
 
 
 def closed_form(fam: str, n: int) -> int:
-    """Predicted P(g,4)/24 for each named family."""
+    """Predicted P(g,4)/24 for each named family, from its least size in FAMILIES."""
+    if fam not in FAMILIES:
+        raise OutOfRange(f"unknown family {fam!r}")
+    least = FAMILIES[fam][1]
+    if n < least:
+        raise OutOfRange(f"{fam} formula holds from n={least}")
     s = (-1) ** n
     if fam == "W":
-        if n < 5:
-            raise OutOfRange("W formula holds from n=5")
-        val = (2 ** (n - 3) + s) // 3 + (1 + s) // 2
-    elif fam == "Theta":
-        if n < 6:
-            raise OutOfRange("Theta formula holds from n=6")
-        val = (2 ** (n - 5) + s) // 3 + (4 + 4 * -s) // 2
-    elif fam == "Xi":
-        if n < 7:
-            raise OutOfRange("Xi formula holds from n=7")
-        val = (2 ** (n - 4) - s) // 3 + (5 + 9 * s) // 2
-    elif fam == "Y":
-        if n < 6:
-            raise OutOfRange("Y formula holds from n=6")
-        val = closed_form("W", n - 1)
-    elif fam == "Nabla":
-        if n < 8:
-            raise OutOfRange("Nabla formula holds from n=8")
-        val = (2 ** (n - 4) - s) // 3 + (4 + 6 * -s) // 2
-    else:
-        raise OutOfRange(f"unknown family {fam!r}")
-    return val
+        return (2 ** (n - 3) + s) // 3 + (1 + s) // 2
+    if fam == "Theta":
+        return (2 ** (n - 5) + s) // 3 + (4 + 4 * -s) // 2
+    if fam == "Xi":
+        return (2 ** (n - 4) - s) // 3 + (5 + 9 * s) // 2
+    if fam == "Y":
+        return closed_form("W", n - 1)
+    return (2 ** (n - 4) - s) // 3 + (4 + 6 * -s) // 2  # Nabla
 
 
 def face_four_coloring_count(m: SphereMap) -> int:
@@ -391,10 +382,10 @@ def edge_three_coloring_count(g: nx.Graph) -> int:
     """Proper edge 3-colorings, counted exactly (line-graph vertex coloring)."""
     import networkx as nx
 
-    lg = nx.line_graph(g)
-    if lg.number_of_nodes() > 16:
+    # the line graph has one vertex per edge, so refuse before building it
+    if g.number_of_edges() > 16:
         raise TooLarge("edge coloring counter limited to 16 edges")
-    return count_vertex_colorings(lg, 3)
+    return count_vertex_colorings(nx.line_graph(g), 3)
 
 
 # ---------- Edge-numbering balance ----------

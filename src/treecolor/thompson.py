@@ -11,6 +11,7 @@ from .trees import (
     BinaryTree,
     Step,
     TRIVIAL,
+    all_trees,
     format_address,
     join,
     leaves,
@@ -214,9 +215,7 @@ def classify_multiplication(p: TreePair, s: RotationSymbol) -> str:
     Returns "NonIncreasing", "MinimallyIncreasing" or "Increasing" based on
     how much of the pivot vine is missing from p's range tree.
     """
-    x = s.pivots[1]
-    need = {x[:i] for i in range(len(x) + 1)}
-    missing = need - p.r.internal
+    missing = rotation_as_pair(s).d.internal - p.r.internal
     if not missing:
         return "NonIncreasing"
     if len(missing) == 1:
@@ -258,8 +257,6 @@ def deferment(p: TreePair, host: BinaryTree, leaf: Address) -> TreePair:
 def all_pairs(n: int) -> Iterable[TreePair]:
     """All reduced tree pairs with exactly n carets on each side, from
     Catalan(n)^2 candidates; n is held to ALL_PAIRS_MAX_CARETS on the call."""
-    from .trees import all_trees
-
     if n > ALL_PAIRS_MAX_CARETS:
         raise TooLarge(f"pairs limited to {ALL_PAIRS_MAX_CARETS} carets, got {n}")
     ts = all_trees(n)

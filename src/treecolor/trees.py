@@ -44,7 +44,7 @@ def parse_address(s: str) -> Address:
 class BinaryTree:
     """Immutable binary tree given by its prefix-closed internal vertex set."""
 
-    __slots__ = ("internal", "_hash")
+    __slots__ = ("internal",)
 
     def __init__(self, internal: Iterable[Address] = ()):
         s = frozenset(internal)
@@ -52,16 +52,19 @@ class BinaryTree:
             if v and v[:-1] not in s:
                 raise NotPrefixClosed(f"parent of {format_address(v)} missing")
         object.__setattr__(self, "internal", s)
-        object.__setattr__(self, "_hash", hash(s))
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryTree is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which checks the set again
+        return (BinaryTree, (self.internal,))
 
     def __eq__(self, other):
         return isinstance(other, BinaryTree) and self.internal == other.internal
 
     def __hash__(self):
-        return self._hash
+        return hash(self.internal)  # a frozenset caches its own hash
 
     def __repr__(self):
         return f"BinaryTree({self.to_text()!r})"
@@ -145,7 +148,6 @@ def _trusted_tree(internal: frozenset[Address]) -> BinaryTree:
     """A tree from a vertex set known to be prefix-closed: the check is skipped."""
     T = BinaryTree.__new__(BinaryTree)
     object.__setattr__(T, "internal", internal)
-    object.__setattr__(T, "_hash", hash(internal))
     return T
 
 
@@ -483,6 +485,9 @@ class GeneralTree:
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneralTree is immutable")
+
+    def __reduce__(self):
+        return (GeneralTree, (self.children,))
 
     def __eq__(self, other):
         # the text is a prefix-free code, so equal texts mean equal trees

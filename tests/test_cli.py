@@ -102,6 +102,8 @@ def test_path_find(capsys):
 def test_path_moves(capsys):
     assert run(capsys, "path", "0 11", "--square", "0") == (0, "11 0\n")
     assert run(capsys, "path", "0 e 1", "--pentagon", "0") == (0, "e e\n")
+    # square wins when both moves are given
+    assert run(capsys, "path", "0 11", "--square", "0", "--pentagon", "0") == (0, "11 0\n")
 
 
 # ---------- sigma ----------

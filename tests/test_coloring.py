@@ -171,6 +171,38 @@ def test_classification_is_color_symmetric():
                 assert got in (POSITIVE_RIGID, NEGATIVE_RIGID)
 
 
+def table_classify(c):
+    """Test-only copy of the table-based classifier: rescale c to sum 1 with
+    one of three literal tables, then look for the prefix sums 3 and 2."""
+    total = vector_sum(c)
+    if not total or len(set(c)) == 1:
+        return UNACCEPTABLE
+    if total == 2:
+        perm = {1: 3, 3: 2, 2: 1}
+    elif total == 3:
+        perm = {1: 2, 2: 3, 3: 1}
+    else:
+        perm = {1: 1, 2: 2, 3: 3}
+    d = [perm[x] for x in c]
+    acc = 0
+    prefix_sums = set()
+    for x in d[:-1]:
+        acc ^= x
+        prefix_sums.add(acc)
+    if 3 not in prefix_sums:
+        return POSITIVE_RIGID
+    if 2 not in prefix_sums:
+        return NEGATIVE_RIGID
+    return FLEXIBLE
+
+
+def test_classify_matches_the_table_classifier():
+    # all 29,523 vectors of length 1..9
+    for L in range(1, 10):
+        for c in product((1, 2, 3), repeat=L):
+            assert classify_vector(c) == table_classify(c), c
+
+
 def test_rigid_means_alternating_everywhere():
     def alternating(T, s):
         return all(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import networkx as nx
 import pytest
@@ -240,6 +241,13 @@ def test_family_range_guards():
             family(name, lo - 1)
     with pytest.raises(OutOfRange):
         family("Z", 8)
+    # closed_form takes the same least sizes from FAMILIES
+    for name, lo in [("W", 5), ("Theta", 6), ("Xi", 7), ("Y", 6), ("Nabla", 8)]:
+        closed_form(name, lo)
+        with pytest.raises(OutOfRange, match=f"^{name} formula holds from n={lo}$"):
+            closed_form(name, lo - 1)
+    with pytest.raises(OutOfRange, match="^unknown family 'Z'$"):
+        closed_form("Z", 8)
 
 
 def test_chromatic_closed_forms_small():
@@ -366,6 +374,12 @@ def test_edge_coloring_counter():
     assert edge_three_coloring_count(nx.complete_graph(4)) == 6
     with pytest.raises(TooLarge):
         edge_three_coloring_count(nx.complete_graph(7))  # 21 edges
+    # the budget is checked before the line graph is built
+    k120 = nx.complete_graph(120)  # 7,140 edges
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match="^edge coloring counter limited to 16 edges$"):
+        edge_three_coloring_count(k120)
+    assert time.perf_counter() - t0 < 0.1
 
 
 # ---------- edge-numbering balance ----------

@@ -1,7 +1,9 @@
-"""The package's public names: each resolves to its home module's object."""
+"""The package's public names, each resolving to its home module's object, and
+its import structure."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -90,3 +92,26 @@ def test_benchmark_tracer_finds_every_traced_name():
         t.uninstall()
     assert trees.rotate is rotate
     assert maps.shadow_pattern is shadow_pattern
+
+
+def _sibling_imports(node: ast.AST) -> set[str]:
+    """The treecolor modules one import statement reads from."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        return {node.module} if node.module else {a.name for a in node.names}
+    return set()
+
+
+def test_no_function_reimports_a_top_level_sibling():
+    # a function may import a sibling lazily (the CLI handlers, maps -> paths),
+    # but not one its module already imports unconditionally at the top
+    src = Path(treecolor.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = set().union(*(_sibling_imports(n) for n in tree.body))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    for mod in _sibling_imports(node) & top:
+                        found.append(f"{path.name}:{node.lineno} {fn.name} re-imports .{mod}")
+    assert found == []

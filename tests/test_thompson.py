@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pickle
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -216,6 +217,28 @@ def test_classify_multiplication():
     assert classify_multiplication(p, RotationSymbol("", False)) == "MinimallyIncreasing"
     # two or more missing
     assert classify_multiplication(p, RotationSymbol("0", False)) == "Increasing"
+
+
+def vine_classify(p, s):
+    """Test-only copy of the hand-built pivot vine: every prefix of the
+    second pivot, counted against p's range tree."""
+    x = s.pivots[1]
+    missing = {x[:i] for i in range(len(x) + 1)} - p.r.internal
+    if not missing:
+        return "NonIncreasing"
+    return "MinimallyIncreasing" if len(missing) == 1 else "Increasing"
+
+
+def test_classify_multiplication_matches_the_vine_closure():
+    # every pivot of at most 3 bits, both ways, against the 227 pairs of
+    # at most 4 carets: 6,810 cases
+    pivots = [""] + ["".join(b) for k in (1, 2, 3) for b in product("01", repeat=k)]
+    symbols = [RotationSymbol(u, inv) for u in pivots for inv in (False, True)]
+    pairs = [TreePair(d, r) for n in range(5) for d in all_trees(n) for r in all_trees(n)]
+    assert len(symbols) * len(pairs) == 6810
+    for p in pairs:
+        for s in symbols:
+            assert classify_multiplication(p, s) == vine_classify(p, s), (str(p), str(s))
 
 
 def test_positivity():

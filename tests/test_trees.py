@@ -3,8 +3,10 @@ shadow patterns, rotations, the dihedral action and projections."""
 
 from __future__ import annotations
 
+import copy
 import functools
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -23,10 +25,12 @@ from treecolor.errors import (
     TooLarge,
     TooSmall,
 )
+from treecolor.thompson import TreePair
 from treecolor.trees import (
     TREES_MAX_CARETS,
     TRIVIAL,
     BinaryTree,
+    _trusted_tree,
     all_trees,
     dihedral_apply,
     dihedral_orbit,
@@ -429,3 +433,21 @@ def test_projection_error_is_independent_of_the_hash_seed():
         )
         outs.append(out.stdout)
     assert outs == ["0 is not internal in T\n"] * 2
+
+
+# ---------- pickling and copying ----------
+
+
+def test_trees_pairs_and_projections_pickle_and_copy():
+    T = right_vine(4)
+    values = [t for n in range(5) for t in all_trees(n)] + [
+        right_vine(1500),
+        TreePair(right_vine(3), left_vine(3)),
+        projection(T, [("1", subtree_at(T, "1"))]),
+    ]
+    for x in values:
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert y == x and hash(y) == hash(x) and type(y) is type(x)
+    # unpickling checks the vertex set again
+    with pytest.raises(NotPrefixClosed):
+        pickle.loads(pickle.dumps(_trusted_tree(frozenset({"1"}))))
